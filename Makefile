@@ -34,8 +34,10 @@ test:
 bench:
 	go test -bench=. -benchtime=1x -run '^$$' .
 
-# CPU + heap profiles of the Table-I sweep, the workload behind every
-# hot-path optimization in internal/sim. Inspect with
+# CPU + heap profiles of the quick-size Table-I sweep. It runs no slot
+# loop, and its small sizes misweight the layers against full size, so
+# take per-layer numbers from `bash perfbench/run.sh --workload
+# table1-full --trace 1` (slot loop: `--workload slotsim`). Inspect with
 # `go tool pprof out/pprof/cpu.out` (then `top`, `list <func>`, `web`).
 profile:
 	mkdir -p out/pprof

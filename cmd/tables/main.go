@@ -4,7 +4,7 @@
 //
 // Example:
 //
-//	tables            # full sweep (minutes)
+//	tables            # full sweep (about 2 s on 2 CPUs)
 //	tables -quick     # small sweep (seconds)
 package main
 

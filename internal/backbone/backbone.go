@@ -243,6 +243,35 @@ func (f *GroupFlow) Add(rate float64) error {
 	return nil
 }
 
+// AddN is times calls of Add(rate) in one pass. Every edge still takes
+// times sequential += of the same per-edge share, so its load is
+// bit-identical to the repeated calls; the sum is computed once per
+// distinct starting load (a fresh backbone starts every edge at zero)
+// rather than once per edge. The cost is O(times + |edges|) when the
+// edges share one starting load.
+func (f *GroupFlow) AddN(rate float64, times int) error {
+	if rate < 0 {
+		return fmt.Errorf("backbone: negative rate %g", rate)
+	}
+	if len(f.edges) == 0 {
+		return fmt.Errorf("backbone: groups (sizes %d, %d): %w", f.lenA, f.lenB, ErrNoRoute)
+	}
+	per := rate / float64(len(f.edges))
+	var from, to float64
+	known := false
+	for _, e := range f.edges {
+		start := f.b.load[e]
+		if !known || math.Float64bits(start) != math.Float64bits(from) {
+			from, to, known = start, start, true
+			for t := 0; t < times; t++ {
+				to += per
+			}
+		}
+		f.b.load[e] = to
+	}
+	return nil
+}
+
 // MaxLoad returns the largest per-edge load.
 func (b *Backbone) MaxLoad() float64 {
 	max := 0.0

@@ -36,3 +36,25 @@ func TestGoldenReports(t *testing.T) {
 		})
 	}
 }
+
+// TestGoldenTable1Full pins the full-size Table-I report (the default
+// sizes up to n=16384 and 3 seeds) to testdata/golden/T1-full.txt.
+// The quick goldens stop at n=2048, where the limited-backbone cells
+// that dominate scheme B's cost are small; this run covers them.
+func TestGoldenTable1Full(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-size Table-I sweep")
+	}
+	path := filepath.Join("testdata", "golden", "T1-full.txt")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden snapshot: %v", err)
+	}
+	res, err := Table1(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Text(); got != string(want) {
+		t.Errorf("T1 full-size report drifted from %s:\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"hybridcap/internal/mobility"
 	"hybridcap/internal/rng"
 	"hybridcap/internal/scaling"
+	"hybridcap/internal/spatial"
 )
 
 // BSPlacement selects how base stations are located.
@@ -282,16 +283,15 @@ func randomInDisk(center geom.Point, radius float64, r *rand.Rand) geom.Point {
 	return geom.Add(center, rho*math.Cos(theta), rho*math.Sin(theta))
 }
 
+// assignBSClusters maps every BS to its nearest cluster centre (torus
+// distance, lowest centre index on ties) through a spatial index over
+// the centres, so the cost is about k index queries instead of k*m
+// distance evaluations.
 func (nw *Network) assignBSClusters() {
 	nw.BSCluster = make([]int, len(nw.BSPos))
+	ix := spatial.New(nw.Placement.ClusterCenters, 0)
 	for j, y := range nw.BSPos {
-		best, bestD := 0, math.Inf(1)
-		for c, ctr := range nw.Placement.ClusterCenters {
-			if d := geom.Dist2Unit(y, ctr); d < bestD {
-				best, bestD = c, d
-			}
-		}
-		nw.BSCluster[j] = best
+		nw.BSCluster[j], _ = ix.Nearest(y, nil)
 	}
 }
 
@@ -356,6 +356,9 @@ func (nw *Network) RemoveBS(fraction float64, seed uint64) error {
 	})
 	nw.BSPos = nw.BSPos[:keep]
 	nw.assignBSClusters()
+	// The installed plan's outage mask is indexed by BS id: re-derive
+	// it for the renumbered survivors.
+	nw.ApplyFaults(nw.Cfg.Faults)
 	return nil
 }
 

@@ -162,3 +162,19 @@ func TestSchemeCTotalOutage(t *testing.T) {
 		t.Errorf("degraded+dropped = %d, want all %d pairs", got, len(tr.DestOf))
 	}
 }
+
+// RemoveBS on a network with a fault plan renumbers the surviving BSs;
+// scheme B must still build its backbone over them.
+func TestSchemeBAfterRemoveBSWithPlan(t *testing.T) {
+	nw, tr := faultedInstance(t, infraDominantParams(1024), 3, faults.Config{Seed: 2, BSOutageFraction: 0.2})
+	if err := nw.RemoveBS(0.5, 1); err != nil {
+		t.Fatal(err)
+	}
+	ev, err := SchemeB{}.Evaluate(nw, tr)
+	if err != nil {
+		t.Fatalf("scheme B after RemoveBS: %v", err)
+	}
+	if ev.Lambda <= 0 {
+		t.Errorf("lambda = %v, want positive", ev.Lambda)
+	}
+}

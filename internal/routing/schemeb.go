@@ -74,66 +74,151 @@ func (s SchemeB) Name() string { return "schemeB" }
 
 // Evaluate implements Scheme.
 func (s SchemeB) Evaluate(nw *network.Network, tr *traffic.Pattern) (*Evaluation, error) {
-	if err := validate(nw, tr); err != nil {
+	g, bb, err := s.prepare(nw, tr)
+	if err != nil {
 		return nil, err
 	}
+	plan := nw.Faults()
+	ev := &Evaluation{Detail: map[string]float64{}}
+
+	// Classify pairs: infrastructure-routable pairs load their groups'
+	// air interfaces and the backbone; the rest degrade to the fallback
+	// when a fault plan is installed, or count as legacy failures on a
+	// healthy network (finite-size artifact: a group without BSs).
+	//
+	// Every live BS sits in exactly one group, so the wired edges
+	// between groups A and B are loaded by A->B and B->A pairs only,
+	// each adding the same share 1/|E_AB|. Count the routable pairs per
+	// unordered group pair here and load each pair's compiled edges once
+	// below: every edge still takes its share m_AB times in sequence,
+	// bit-identical to one unit flow per MS pair.
+	type groupLoad struct {
+		flow  *backbone.GroupFlow
+		pairs int
+	}
+	loads := make(map[cellEdge]*groupLoad)
+	var order []*groupLoad
+	loadOf := func(gs, gd int) *groupLoad {
+		key := cellEdge{from: min(gs, gd), to: max(gs, gd)}
+		l, ok := loads[key]
+		if !ok {
+			l = &groupLoad{flow: bb.CompileGroupFlow(g.bs[key.from], g.bs[key.to])}
+			loads[key] = l
+			order = append(order, l)
+		}
+		return l
+	}
+	infraLoad := make([]float64, len(g.ms))
+	degraded := 0
+	for src, dst := range tr.DestOf {
+		gs, gd := g.of[src], g.of[dst]
+		ok := g.usable(gs) && g.usable(gd)
+		var load *groupLoad
+		if ok && gs != gd {
+			load = loadOf(gs, gd)
+			ok = load.flow.Routable()
+		}
+		switch {
+		case ok:
+			infraLoad[gs]++
+			infraLoad[gd]++
+			if load != nil {
+				load.pairs++
+			}
+		case plan != nil:
+			degraded++
+		default:
+			if !g.usable(gs) {
+				ev.Failures++
+			}
+			if !g.usable(gd) {
+				ev.Failures++
+			}
+		}
+	}
+	for _, l := range order {
+		if l.pairs == 0 {
+			continue
+		}
+		if err := l.flow.AddN(1, l.pairs); err != nil {
+			return nil, fmt.Errorf("routing: backbone flow: %w", err)
+		}
+	}
+	return s.settle(nw, tr, g, ev, infraLoad, bb.SustainableScale(), degraded)
+}
+
+// schemeBGroups is scheme B's grouping of one instance: the MS and
+// live-BS members of every group, the group of every MS, each group's
+// air-interface service rate (phases I and III) and the access range
+// behind it.
+type schemeBGroups struct {
+	ms, bs  [][]int
+	of      []int
+	service []float64
+	rt      float64
+}
+
+// usable reports whether group i has live air-interface service.
+func (g *schemeBGroups) usable(i int) bool { return g.service[i] > 0 }
+
+// prepare groups the instance and builds the wired backbone with its
+// surviving edge capacities (phase II), unloaded.
+func (s SchemeB) prepare(nw *network.Network, tr *traffic.Pattern) (*schemeBGroups, *backbone.Backbone, error) {
+	if err := validate(nw, tr); err != nil {
+		return nil, nil, err
+	}
 	if nw.NumBS() == 0 {
-		return nil, fmt.Errorf("routing: scheme B requires base stations")
+		return nil, nil, fmt.Errorf("routing: scheme B requires base stations")
 	}
 	groupBy := s.GroupBy
 	if groupBy == 0 {
 		groupBy = BySquarelet
 	}
-	plan := nw.Faults()
 
-	var msGroups, bsGroups [][]int
-	var groupOfMS []int
+	g := &schemeBGroups{}
 	switch groupBy {
 	case BySquarelet:
 		cells := s.Cells
 		if cells <= 0 {
 			cells = defaultSquareletSide(nw)
 		}
-		g := geom.NewGridCells(cells)
-		msGroups = cellMembersOf(g, nw.HomePoints())
-		bsGroups = make([][]int, g.NumCells())
+		grid := geom.NewGridCells(cells)
+		g.ms = cellMembersOf(grid, nw.HomePoints())
+		g.bs = make([][]int, grid.NumCells())
 		livePos, liveIDs := nw.LiveBSPositions()
 		for i, y := range livePos {
-			c := g.CellIndexOf(y)
-			bsGroups[c] = append(bsGroups[c], liveIDs[i])
+			c := grid.CellIndexOf(y)
+			g.bs[c] = append(g.bs[c], liveIDs[i])
 		}
-		groupOfMS = make([]int, nw.NumMS())
+		g.of = make([]int, nw.NumMS())
 		for i, h := range nw.HomePoints() {
-			groupOfMS[i] = g.CellIndexOf(h)
+			g.of[i] = grid.CellIndexOf(h)
 		}
 	case ByCluster:
-		msGroups = nw.MSClusterMembers()
-		bsGroups = nw.BSClusterMembers() // live BSs only
-		groupOfMS = make([]int, nw.NumMS())
-		copy(groupOfMS, nw.Placement.ClusterOf)
+		g.ms = nw.MSClusterMembers()
+		g.bs = nw.BSClusterMembers() // live BSs only
+		g.of = make([]int, nw.NumMS())
+		copy(g.of, nw.Placement.ClusterOf)
 	default:
-		return nil, fmt.Errorf("routing: unknown grouping %v", groupBy)
+		return nil, nil, fmt.Errorf("routing: unknown grouping %v", groupBy)
 	}
 
 	a, err := linkcap.NewAnalytic(nw, s.CT)
 	if err != nil {
-		return nil, fmt.Errorf("routing: scheme B: %w", err)
+		return nil, nil, fmt.Errorf("routing: scheme B: %w", err)
 	}
-	rt := s.AccessRT
-	if rt <= 0 {
-		rt = defaultAccessRT(nw, groupBy, a)
+	g.rt = s.AccessRT
+	if g.rt <= 0 {
+		g.rt = defaultAccessRT(nw, groupBy, a)
 	}
 
-	ev := &Evaluation{Detail: map[string]float64{}}
-
-	// Wired backbone with surviving edge capacities (phase II).
 	bb, err := backbone.New(nw.NumBS(), nw.Cfg.Params.BandwidthC())
 	if err != nil {
-		return nil, fmt.Errorf("routing: %w", err)
+		return nil, nil, fmt.Errorf("routing: %w", err)
 	}
-	if plan != nil || nw.BSAlive != nil {
+	if plan := nw.Faults(); plan != nil || nw.BSAlive != nil {
 		if err := bb.ApplyFaults(plan, nw.BSAlive); err != nil {
-			return nil, fmt.Errorf("routing: %w", err)
+			return nil, nil, fmt.Errorf("routing: %w", err)
 		}
 	}
 
@@ -141,85 +226,42 @@ func (s SchemeB) Evaluate(nw *network.Network, tr *traffic.Pattern) (*Evaluation
 	// service rate is the summed, per-BS-capped MS-BS capacity over its
 	// live BSs (Lemma 9 machinery with the Lemma 8 cap).
 	rnd := rng.New(0xB).Derive("schemeB").Rand()
-	endpoints := make([]float64, len(msGroups))
+	endpoints := make([]float64, len(g.ms))
 	for src, dst := range tr.DestOf {
-		endpoints[groupOfMS[src]]++
-		endpoints[groupOfMS[dst]]++
+		endpoints[g.of[src]]++
+		endpoints[g.of[dst]]++
 	}
-	groupService := make([]float64, len(msGroups))
-	for g := range msGroups {
-		if endpoints[g] == 0 {
+	g.service = make([]float64, len(g.ms))
+	for i := range g.ms {
+		if endpoints[i] == 0 {
 			continue
 		}
-		for _, b := range bsGroups[g] {
-			groupService[g] += groupCapMSBS(a, nw.HomePoints(), msGroups[g], nw.BSPos[b], rt, rnd)
+		for _, b := range g.bs[i] {
+			g.service[i] += groupCapMSBS(a, nw.HomePoints(), g.ms[i], nw.BSPos[b], g.rt, rnd)
 		}
 	}
-	usable := func(g int) bool { return groupService[g] > 0 }
+	return g, bb, nil
+}
 
-	// Classify pairs: infrastructure-routable pairs load their groups'
-	// air interfaces and the backbone; the rest degrade to the fallback
-	// when a fault plan is installed, or count as legacy failures on a
-	// healthy network (finite-size artifact: a group without BSs).
-	infraLoad := make([]float64, len(msGroups))
-	degraded := 0
-	// Backbone flows between the same group pair recur once per MS pair;
-	// compile each pair's usable-edge list once and replay it, instead
-	// of rescanning the |A|x|B| BS matrix on every pair.
-	flows := make(map[cellEdge]*backbone.GroupFlow)
-	flowOf := func(gs, gd int) *backbone.GroupFlow {
-		key := cellEdge{from: gs, to: gd}
-		f, ok := flows[key]
-		if !ok {
-			f = bb.CompileGroupFlow(bsGroups[gs], bsGroups[gd])
-			flows[key] = f
-		}
-		return f
-	}
-	for src, dst := range tr.DestOf {
-		gs, gd := groupOfMS[src], groupOfMS[dst]
-		ok := usable(gs) && usable(gd)
-		var flow *backbone.GroupFlow
-		if ok && gs != gd {
-			flow = flowOf(gs, gd)
-			ok = flow.Routable()
-		}
-		switch {
-		case ok:
-			infraLoad[gs]++
-			infraLoad[gd]++
-			if gs != gd {
-				if err := flow.Add(1); err != nil {
-					return nil, fmt.Errorf("routing: backbone flow %d->%d: %w", gs, gd, err)
-				}
-			}
-		case plan != nil:
-			degraded++
-		default:
-			if !usable(gs) {
-				ev.Failures++
-			}
-			if !usable(gd) {
-				ev.Failures++
-			}
-		}
-	}
-
+// settle turns the classified loads into the scheme's rate: the
+// slowest of the groups' air interfaces and the loaded backbone, then,
+// under a fault plan, the fallback transport for the degraded pairs.
+func (s SchemeB) settle(nw *network.Network, tr *traffic.Pattern, g *schemeBGroups, ev *Evaluation, infraLoad []float64, lambdaBackbone float64, degraded int) (*Evaluation, error) {
+	plan := nw.Faults()
 	lambdaAccess := math.Inf(1)
-	for g := range msGroups {
-		if infraLoad[g] == 0 {
+	for i := range g.ms {
+		if infraLoad[i] == 0 {
 			continue
 		}
-		if r := groupService[g] / infraLoad[g]; r < lambdaAccess {
+		if r := g.service[i] / infraLoad[i]; r < lambdaAccess {
 			lambdaAccess = r
 		}
 	}
-	lambdaBackbone := bb.SustainableScale()
 
 	ev.Detail["lambdaAccess"] = lambdaAccess
 	ev.Detail["lambdaBackbone"] = lambdaBackbone
-	ev.Detail["groups"] = float64(len(msGroups))
-	ev.Detail["accessRT"] = rt
+	ev.Detail["groups"] = float64(len(g.ms))
+	ev.Detail["accessRT"] = g.rt
 	ev.Detail["liveBS"] = float64(nw.NumLiveBS())
 
 	ev.Lambda = lambdaAccess

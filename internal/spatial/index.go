@@ -123,8 +123,9 @@ func (ix *Index) CountWithin(q geom.Point, radius float64) int {
 }
 
 // Nearest returns the id of the point closest to q and its distance,
-// excluding ids for which skip returns true. It returns id = -1 if the
-// index is empty or all points are skipped. skip may be nil.
+// excluding ids for which skip returns true; among points at the same
+// squared distance the lowest id wins. It returns id = -1 if the index
+// is empty or all points are skipped. skip may be nil.
 func (ix *Index) Nearest(q geom.Point, skip func(id int) bool) (id int, dist float64) {
 	id = -1
 	best := math.Inf(1)
@@ -137,7 +138,7 @@ func (ix *Index) Nearest(q geom.Point, skip func(id int) bool) (id int, dist flo
 			if skip != nil && skip(cand) {
 				return true
 			}
-			if d := geom.Dist2(q, ix.pts[cand]); d < best {
+			if d := geom.Dist2Unit(q, ix.pts[cand]); d < best || (d == best && cand < id) {
 				best = d
 				id = cand
 			}

@@ -119,6 +119,20 @@ func TestNearestWithSkip(t *testing.T) {
 	}
 }
 
+// Equidistant points, listed so that the search meets the higher ids
+// first (they sit in earlier grid cells), resolve to the lowest id.
+func TestNearestTieLowestID(t *testing.T) {
+	ix := New([]geom.Point{{X: 0.875, Y: 0.5}, {X: 0.625, Y: 0.5}, {X: 0.75, Y: 0.375}}, 0.25)
+	if id, _ := ix.Nearest(geom.Point{X: 0.75, Y: 0.5}, nil); id != 0 {
+		t.Errorf("three-way tie resolved to %d, want 0", id)
+	}
+	// Across the 0/1 wrap line: both points are 0.125 away.
+	ix = New([]geom.Point{{X: 0.125, Y: 0.5}, {X: 0.875, Y: 0.5}}, 0.125)
+	if id, _ := ix.Nearest(geom.Point{X: 0, Y: 0.5}, nil); id != 0 {
+		t.Errorf("tie across the wrap line resolved to %d, want 0", id)
+	}
+}
+
 func TestNearestAllSkipped(t *testing.T) {
 	pts := randomPoints(10, 8)
 	ix := New(pts, 0.2)
