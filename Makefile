@@ -1,7 +1,7 @@
 # Convenience entry points mirroring the CI gates. Each target is a
 # plain go/gofmt one-liner, so everything here also works without make.
 
-.PHONY: lint lint-json lint-sarif fmt test bench profile verify
+.PHONY: lint lint-json lint-sarif fmt test bench profile verify loc
 
 # The compile-time invariant gate: formatting, go vet, plus the
 # hybridlint analyzer suite (same as CI's lint job, minus govulncheck
@@ -45,6 +45,12 @@ profile:
 		-cpuprofile out/pprof/cpu.out -memprofile out/pprof/mem.out \
 		-o out/pprof/bench.test .
 	@echo "profiles written to out/pprof/ (cpu.out, mem.out; binary bench.test)"
+
+# Non-test Go line count, the "fewer non-test lines" measure: every
+# .go file except tests, testdata and the separate perfbench module.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' \
+		-not -path './perfbench/*' -not -path './.*' | xargs cat | wc -l
 
 # Everything CI checks, in order.
 verify: lint test

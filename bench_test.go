@@ -166,14 +166,12 @@ func recordWarmCellCache(b *testing.B) {
 	b.ReportMetric(rec.Speedup, "warmSpeedupX")
 }
 
-// BenchmarkStreamMemory compares the engine's materialized path
-// (engine.Run: every outcome held until the sweep ends) against the
-// streaming path (engine.Reduce folding into a mean aggregator) on a
-// synthetic 1024x1024-cell grid of cheap cells, and records the heap
-// each retains after the run in BENCH_sweep.json. The two must agree
-// bit for bit on every per-point mean; the streaming run's retained
-// heap stays O(points) however many cells the grid has, which is the
-// point of the streaming core.
+// BenchmarkStreamMemory folds a synthetic 1024x1024-cell grid of cheap
+// cells through the streaming engine (engine.Reduce into a mean
+// aggregator) and records the heap it retains after the run in
+// BENCH_sweep.json. The per-point means must match a plain serial loop
+// over the seeds bit for bit; the retained heap stays O(points) however
+// many cells the grid has, which is the point of the streaming core.
 func BenchmarkStreamMemory(b *testing.B) {
 	const points, seeds = 1024, 1024
 	grid := engine.Grid{Points: points, Seeds: seeds, Workers: runtime.NumCPU()}
@@ -182,63 +180,43 @@ func BenchmarkStreamMemory(b *testing.B) {
 		// machinery itself, not the cell.
 		return 1 / float64(point+seed+1), nil
 	}
-	retained := func(run func() func()) uint64 {
+	var serialMeans, streamMeans [points]float64
+	for p := range serialMeans {
+		sum := 0.0
+		for s := 0; s < seeds; s++ {
+			v, _ := cell(p, s)
+			sum += v
+		}
+		serialMeans[p] = sum / seeds
+	}
+
+	var streamBytes uint64
+	for i := 0; i < b.N; i++ {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		hold := run()
-		runtime.GC()
-		runtime.ReadMemStats(&after)
-		hold()
-		if after.HeapAlloc <= before.HeapAlloc {
-			return 0
-		}
-		return after.HeapAlloc - before.HeapAlloc
-	}
-
-	var matMeans, streamMeans [points]float64
-	var matBytes, streamBytes uint64
-	for i := 0; i < b.N; i++ {
-		matBytes = retained(func() func() {
-			outs := engine.Run(context.Background(), grid, cell)
-			return func() {
-				for p := range outs {
-					sum := 0.0
-					for _, o := range outs[p] {
-						sum += o.Value
-					}
-					matMeans[p] = sum / seeds
-				}
-			}
-		})
-		streamBytes = retained(func() func() {
-			agg := engine.NewMeanAgg(points)
-			if err := engine.Reduce(context.Background(), grid, cell, agg); err != nil {
-				b.Fatal(err)
-			}
-			return func() {
-				for p := 0; p < points; p++ {
-					mean, _, _, _ := agg.Point(p)
-					streamMeans[p] = mean
-				}
-			}
-		})
-	}
-	if matMeans != streamMeans {
-		b.Fatal("streaming means drifted from materialized means")
-	}
-	b.ReportMetric(float64(matBytes)/(1<<20), "materializedMiB")
-	b.ReportMetric(float64(streamBytes)/(1<<20), "streamingMiB")
-	now := time.Now().UTC().Format(time.RFC3339)
-	for _, rec := range []benchio.Record{
-		{Name: "BenchmarkStreamMemory/materialized", Workers: grid.Workers,
-			Cells: points * seeds, RetainedBytes: matBytes, UpdatedAt: now},
-		{Name: "BenchmarkStreamMemory/streaming", Workers: grid.Workers,
-			Cells: points * seeds, RetainedBytes: streamBytes, UpdatedAt: now},
-	} {
-		if err := benchio.Upsert(benchio.DefaultPath, rec); err != nil {
+		agg := engine.NewMeanAgg(points)
+		if err := engine.Reduce(context.Background(), grid, cell, agg); err != nil {
 			b.Fatal(err)
 		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		for p := 0; p < points; p++ {
+			streamMeans[p], _, _, _ = agg.Point(p)
+		}
+		streamBytes = 0
+		if after.HeapAlloc > before.HeapAlloc {
+			streamBytes = after.HeapAlloc - before.HeapAlloc
+		}
+	}
+	if serialMeans != streamMeans {
+		b.Fatal("streaming means drifted from the serial means")
+	}
+	b.ReportMetric(float64(streamBytes)/(1<<20), "streamingMiB")
+	rec := benchio.Record{Name: "BenchmarkStreamMemory/streaming", Workers: grid.Workers,
+		Cells: points * seeds, RetainedBytes: streamBytes, UpdatedAt: time.Now().UTC().Format(time.RFC3339)}
+	if err := benchio.Upsert(benchio.DefaultPath, rec); err != nil {
+		b.Fatal(err)
 	}
 }
 

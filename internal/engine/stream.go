@@ -2,21 +2,14 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
 )
 
-// ErrOutsideShard marks a grid cell that the run's shard does not own:
-// the cell was neither evaluated nor delivered. Only the materializing
-// Run path surfaces it (its outcome slice spans the whole grid);
-// Stream/Reduce simply never deliver foreign cells.
-var ErrOutsideShard = errors.New("engine: cell outside shard")
-
 // cellOut carries one evaluated cell through the reorder buffer: the
-// outcome plus the per-cell bookkeeping (duration, cache replay) that
-// used to live in run-length slices.
+// outcome plus the per-cell bookkeeping (duration, cache replay) the
+// observer needs.
 type cellOut[T any] struct {
 	out    Outcome[T]
 	d      time.Duration
@@ -52,36 +45,19 @@ func (g Grid) Coverage() (lo, hi int, err error) {
 	return g.shardRange(g.Points * g.Seeds)
 }
 
-// window is the streaming path's reorder bound: evaluation may run at
-// most this many cells ahead of in-order delivery, so at most window
-// completed cells are ever buffered. Lookahead defaults to Workers,
-// giving each worker one cell in flight and one buffered.
-func (g Grid) window() int {
-	la := g.Lookahead
-	if la <= 0 {
-		la = g.Workers
-	}
-	w := g.Workers + la
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// streamCells is the execution core shared by Stream, Reduce, Map and
-// Run: it evaluates the grid's covered cells (timing and cell-cache
-// handling included) on a bounded pool and calls deliver exactly once
-// per covered cell, in grid order, on the caller's goroutine. Workers
-// may run at most window cells ahead of delivery (window <= 0 means
-// unbounded run-ahead, for materializing adapters where backpressure
-// buys nothing), so the buffered state is O(workers + window) cells
-// instead of O(cells).
+// streamCells is the execution core shared by Stream and Map: it
+// evaluates the grid's covered cells (timing and cell-cache handling
+// included) on a bounded pool and calls deliver exactly once per
+// covered cell, in grid order, on the caller's goroutine. Workers may
+// run at most window cells ahead of delivery (window <= 0 means
+// unbounded run-ahead, for Map, which holds every value anyway), so the
+// buffered state is O(window) cells instead of O(cells).
 //
-// Cancellation matches the historical Map contract: once ctx is done no
-// new cell is dispatched, in-flight cells finish and are delivered with
-// their real outcomes, and every covered cell that was never dispatched
-// is delivered with a shared PhaseCanceled-tagged ctx error. The return
-// value is the shard-spec resolution error, else ctx.Err().
+// Cancellation: once ctx is done no new cell is dispatched, in-flight
+// cells finish and are delivered with their real outcomes, and every
+// covered cell that was never dispatched is delivered with a shared
+// PhaseCanceled-tagged ctx error. The return value is the shard-spec
+// resolution error, else ctx.Err().
 func streamCells[T any](ctx context.Context, g Grid, window int, cell func(point, seed int) (T, error), deliver func(point, seed int, r cellOut[T])) error {
 	if g.Points <= 0 || g.Seeds <= 0 {
 		return nil
@@ -230,24 +206,18 @@ func streamCells[T any](ctx context.Context, g Grid, window int, cell func(point
 }
 
 // Stream evaluates the grid's covered cells and delivers every outcome
-// to deliver in grid order on the caller's goroutine, holding only
-// O(workers + lookahead) completed cells at any moment — the streaming
-// alternative to Run for aggregating consumers, and the only engine
-// path whose memory does not scale with the grid. Unlike Run (which
-// fires all OnCell hooks and then all observations after the grid
-// completes, a contract its callers pin), Stream interleaves per cell:
-// OnCell, then the Obs observation, then deliver — still strictly in
-// grid order, so the observed stream is byte-identical for every worker
-// count. A canceled ctx stops dispatch promptly; undelivered cells
-// arrive with PhaseCanceled-tagged errors and the ctx error is
+// to deliver in grid order on the caller's goroutine, holding at most
+// 2*Workers completed cells at any moment, however large the grid.
+// Each cell is first observed (Obs), then delivered, strictly in grid
+// order, so the observed stream is byte-identical for every worker
+// count. Cells outside the grid's shard are neither evaluated, observed
+// nor delivered. A canceled ctx stops dispatch promptly; undispatched
+// cells arrive with PhaseCanceled-tagged errors and the ctx error is
 // returned. An invalid shard spec is returned as an error before any
 // cell runs.
 func Stream[T any](ctx context.Context, g Grid, cell func(point, seed int) (T, error), deliver func(point, seed int, out Outcome[T])) error {
 	cobs, _ := g.Obs.(CachedCellObserver)
-	return streamCells(ctx, g, g.window(), cell, func(p, s int, r cellOut[T]) {
-		if g.OnCell != nil {
-			g.OnCell(p, s, r.out.Err)
-		}
+	return streamCells(ctx, g, 2*g.Workers, cell, func(p, s int, r cellOut[T]) {
 		if g.Obs != nil {
 			g.Obs.ObserveCell(p, s, r.d, r.out.Err)
 			if cobs != nil && r.cached {
@@ -279,22 +249,6 @@ func Reduce[T any](ctx context.Context, g Grid, cell func(point, seed int) (T, e
 	})
 }
 
-// Each evaluates fn over the indices 0..n-1 on a bounded pool and
-// delivers each outcome in index order through the bounded reorder
-// window — the streaming replacement for Map when the caller only folds
-// the outcomes (FirstErr-style consumers, running sums): nothing
-// proportional to n is ever held alive. Cancellation semantics match
-// Map: completed indices deliver their real outcomes, undispatched ones
-// a PhaseCanceled-tagged error; the ctx error is returned.
-func Each[T any](ctx context.Context, workers, n int, fn func(i int) (T, error), deliver func(i int, out Outcome[T])) error {
-	g := Grid{Points: n, Seeds: 1, Workers: workers}
-	return streamCells(ctx, g, g.window(), func(point, _ int) (T, error) {
-		return fn(point)
-	}, func(point, _ int, r cellOut[T]) {
-		deliver(point, r.out)
-	})
-}
-
 // meanAcc is one grid point's running tolerant-mean state.
 type meanAcc struct {
 	sum       float64
@@ -304,11 +258,12 @@ type meanAcc struct {
 	firstSeed int
 }
 
-// MeanAgg is the streaming counterpart of Mean: per-point tolerant
-// means folded cell by cell in O(points) memory. Because cells arrive
-// in grid order, the per-point sum accumulates in seed order — the
-// exact float operations Mean performs on a materialized slice — so the
-// two agree bit for bit.
+// MeanAgg folds per-point tolerant means cell by cell in O(points)
+// memory: a point's mean is taken over its surviving seeds, and its
+// first failure by seed order is kept for error reporting. Because
+// cells arrive in grid order, the per-point sum accumulates in seed
+// order, the same float operations as a serial loop over the seeds, so
+// the means are bit-identical for every worker count.
 type MeanAgg struct {
 	acc []meanAcc
 }
@@ -337,9 +292,10 @@ func (a *MeanAgg) Cell(point, seed int, out Outcome[float64]) {
 	p.ok++
 }
 
-// Point reports one point's aggregate with the Mean contract: the mean
-// over surviving seeds, the survivor count, and the first failure by
-// seed order. ok == 0 means every delivered seed failed.
+// Point reports one point's aggregate: the mean over surviving seeds,
+// the survivor count, and the first failure by seed order with its
+// seed index (-1 when none failed). ok == 0 means every delivered seed
+// failed.
 func (a *MeanAgg) Point(point int) (mean float64, ok int, firstErr error, firstSeed int) {
 	p := a.acc[point]
 	if p.ok == 0 {
@@ -353,9 +309,9 @@ func (a *MeanAgg) Point(point int) (mean float64, ok int, firstErr error, firstS
 // shard.
 func (a *MeanAgg) Covered(point int) int { return a.acc[point].covered }
 
-// FirstErrAgg is the streaming counterpart of FirstErr: it captures the
-// first failed outcome in grid order and nothing else, so error-only
-// consumers hold O(1) state instead of every cell result.
+// FirstErrAgg captures the first failed outcome in grid order and
+// nothing else, so strict consumers (every cell must succeed) hold O(1)
+// state instead of every cell result.
 type FirstErrAgg[T any] struct {
 	// Err is the first failure in grid order, nil while none arrived.
 	Err error
@@ -369,42 +325,4 @@ func (a *FirstErrAgg[T]) Cell(point, seed int, out Outcome[T]) {
 	if out.Err != nil && a.Err == nil {
 		a.Err, a.Point, a.Seed = out.Err, point, seed
 	}
-}
-
-// CountAgg is the streaming counterpart of Count: a running Stats tally
-// in O(1) memory.
-type CountAgg[T any] struct {
-	Stats Stats
-}
-
-// Cell implements Reducer[T].
-func (a *CountAgg[T]) Cell(_, _ int, out Outcome[T]) {
-	a.Stats.Cells++
-	if out.Err == nil {
-		a.Stats.OK++
-	}
-}
-
-// ValuesAgg is the compatibility aggregator for consumers that truly
-// need every outcome: it materializes the grid, deliberately O(cells),
-// for callers migrating from Run one step at a time.
-type ValuesAgg[T any] struct {
-	// Outs is the materialized grid, indexed [point][seed].
-	Outs [][]Outcome[T]
-}
-
-// NewValuesAgg prepares the materializing aggregator for a points x
-// seeds grid.
-func NewValuesAgg[T any](points, seeds int) *ValuesAgg[T] {
-	outs := make([][]Outcome[T], points)
-	flat := make([]Outcome[T], points*seeds)
-	for p := range outs {
-		outs[p] = flat[p*seeds : (p+1)*seeds]
-	}
-	return &ValuesAgg[T]{Outs: outs}
-}
-
-// Cell implements Reducer[T].
-func (a *ValuesAgg[T]) Cell(point, seed int, out Outcome[T]) {
-	a.Outs[point][seed] = out
 }

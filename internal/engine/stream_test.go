@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // cellValue is the deterministic synthetic workload shared by the
@@ -50,16 +51,16 @@ func TestStreamGridOrder(t *testing.T) {
 }
 
 // TestStreamBoundedWindow proves the reorder window actually bounds
-// run-ahead: with Workers + Lookahead = w, no cell may be dispatched
-// more than w positions beyond the oldest undelivered cell.
+// run-ahead: with window w = 2*Workers, no cell may be dispatched more
+// than w positions beyond the oldest undelivered cell.
 func TestStreamBoundedWindow(t *testing.T) {
 	const n = 400
-	const workers, lookahead = 4, 4
-	const window = workers + lookahead
+	const workers = 4
+	const window = 2 * workers
 	var dispatched atomic.Int64
 	var maxAhead atomic.Int64
 	delivered := 0
-	err := Stream(context.Background(), Grid{Points: n, Seeds: 1, Workers: workers, Lookahead: lookahead},
+	err := Stream(context.Background(), Grid{Points: n, Seeds: 1, Workers: workers},
 		func(point, _ int) (int, error) {
 			dispatched.Add(1)
 			return point, nil
@@ -90,8 +91,8 @@ func TestStreamBoundedWindow(t *testing.T) {
 	}
 }
 
-// TestStreamCancellation mirrors Map's pinned contract on the streaming
-// path: after cancellation, completed cells keep their outcomes,
+// TestStreamCancellation pins the streaming path's cancellation
+// contract: after cancellation, completed cells keep their outcomes,
 // undispatched cells carry PhaseCanceled-tagged context errors, and
 // everything still arrives in grid order.
 func TestStreamCancellation(t *testing.T) {
@@ -171,9 +172,9 @@ func TestStreamCanceledBeforeStart(t *testing.T) {
 }
 
 // TestReduceMeanMatchesRun is the aggregation-parity gate: folding a
-// grid through MeanAgg must reproduce Run + Mean bit for bit — same
-// means, same survivor counts, same first failures — for every worker
-// count, including a grid with failing cells.
+// grid through MeanAgg must reproduce a plain serial run of the cells
+// bit for bit — same means, same survivor counts, same first failures —
+// for every worker count, including a grid with failing cells.
 func TestReduceMeanMatchesRun(t *testing.T) {
 	const points, seeds = 9, 6
 	cell := func(point, seed int) (float64, error) {
@@ -182,18 +183,38 @@ func TestReduceMeanMatchesRun(t *testing.T) {
 		}
 		return math.Sqrt(cellValue(point, seed) + 1), nil
 	}
-	ref := Run(context.Background(), Grid{Points: points, Seeds: seeds, Workers: 1}, cell)
+	type pointRef struct {
+		mean    float64
+		ok      int
+		err     error
+		errSeed int
+	}
+	ref := make([]pointRef, points)
+	for p := range ref {
+		sum := 0.0
+		ref[p].errSeed = -1
+		for s := 0; s < seeds; s++ {
+			v, err := cell(p, s)
+			if err != nil {
+				if ref[p].err == nil {
+					ref[p].err, ref[p].errSeed = err, s
+				}
+				continue
+			}
+			sum += v
+			ref[p].ok++
+		}
+		if ref[p].ok > 0 {
+			ref[p].mean = sum / float64(ref[p].ok)
+		}
+	}
 	for _, workers := range []int{1, 3, 8} {
 		agg := NewMeanAgg(points)
-		cnt := &CountAgg[float64]{}
-		if err := Reduce(context.Background(), Grid{Points: points, Seeds: seeds, Workers: workers}, cell, agg, cnt); err != nil {
+		if err := Reduce(context.Background(), Grid{Points: points, Seeds: seeds, Workers: workers}, cell, agg); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if cnt.Stats.Cells != points*seeds {
-			t.Fatalf("workers=%d: counted %d cells, want %d", workers, cnt.Stats.Cells, points*seeds)
-		}
 		for p := 0; p < points; p++ {
-			wantMean, wantOK, wantErr, wantSeed := Mean(ref[p])
+			wantMean, wantOK, wantErr, wantSeed := ref[p].mean, ref[p].ok, ref[p].err, ref[p].errSeed
 			gotMean, gotOK, gotErr, gotSeed := agg.Point(p)
 			if gotMean != wantMean || gotOK != wantOK || gotSeed != wantSeed {
 				t.Fatalf("workers=%d point %d: got (%v, %d, seed %d), want (%v, %d, seed %d)",
@@ -272,125 +293,64 @@ func TestShardStreamUnionMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// TestRunShardOutsideCells proves the materializing Run path under a
-// shard: covered slots carry real outcomes, foreign slots carry
-// ErrOutsideShard, and hooks fire only for covered cells.
+// TestRunShardOutsideCells proves a run under a shard evaluates,
+// observes and delivers exactly the shard's covered cells, with their
+// real outcomes at their global coordinates.
 func TestRunShardOutsideCells(t *testing.T) {
 	const points, seeds = 4, 3
 	g := Grid{Points: points, Seeds: seeds, Workers: 2, ShardIndex: 1, ShardCount: 3}
-	var hooks int
-	g.OnCell = func(point, seed int, err error) {
-		hooks++
-		if errors.Is(err, ErrOutsideShard) {
-			t.Fatalf("OnCell fired for foreign cell (%d,%d)", point, seed)
-		}
-	}
-	outs := Run(context.Background(), g, func(point, seed int) (float64, error) {
-		return cellValue(point, seed), nil
-	})
 	lo, hi, err := g.Coverage()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hooks != hi-lo {
-		t.Fatalf("%d hooks fired, want %d", hooks, hi-lo)
+	covered := func(point, seed int) bool {
+		idx := point*seeds + seed
+		return idx >= lo && idx < hi
 	}
-	for p := 0; p < points; p++ {
-		for s := 0; s < seeds; s++ {
-			idx := p*seeds + s
-			out := outs[p][s]
-			if idx >= lo && idx < hi {
-				if out.Err != nil || out.Value != cellValue(p, s) {
-					t.Fatalf("covered cell (%d,%d): %+v", p, s, out)
-				}
-			} else if !errors.Is(out.Err, ErrOutsideShard) {
-				t.Fatalf("foreign cell (%d,%d): err %v, want ErrOutsideShard", p, s, out.Err)
-			}
+	var ran atomic.Int32
+	var observed, delivered int
+	g.Obs = observerFunc(func(point, seed int, _ time.Duration, _ error) {
+		observed++
+		if !covered(point, seed) {
+			t.Fatalf("observer fired for foreign cell (%d,%d)", point, seed)
 		}
+	})
+	err = Stream(context.Background(), g, func(point, seed int) (float64, error) {
+		ran.Add(1)
+		return cellValue(point, seed), nil
+	}, func(point, seed int, out Outcome[float64]) {
+		delivered++
+		if !covered(point, seed) {
+			t.Fatalf("foreign cell (%d,%d) delivered", point, seed)
+		}
+		if out.Err != nil || out.Value != cellValue(point, seed) {
+			t.Fatalf("covered cell (%d,%d): %+v", point, seed, out)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int(ran.Load()) != hi-lo || observed != hi-lo || delivered != hi-lo {
+		t.Fatalf("ran %d, observed %d, delivered %d cells, want %d each", ran.Load(), observed, delivered, hi-lo)
 	}
 }
 
-// TestRunInvalidShardSpec proves a malformed shard spec cannot pass
-// silently through the error-free Run signature: every slot carries the
-// range error and no cell runs.
+// TestRunInvalidShardSpec proves a malformed shard spec fails the run
+// before any cell runs or is delivered.
 func TestRunInvalidShardSpec(t *testing.T) {
 	for _, g := range []Grid{
 		{Points: 2, Seeds: 2, ShardIndex: 5, ShardCount: 3},
 		{Points: 2, Seeds: 2, ShardIndex: -1, ShardCount: 3},
 		{Points: 2, Seeds: 2, ShardIndex: 0, ShardCount: 9},
 	} {
-		ran := false
-		outs := Run(context.Background(), g, func(point, seed int) (float64, error) {
-			ran = true
+		err := Stream(context.Background(), g, func(point, seed int) (float64, error) {
+			t.Errorf("%+v: cells ran under an invalid shard spec", g)
 			return 0, nil
+		}, func(point, seed int, out Outcome[float64]) {
+			t.Fatalf("%+v: cell (%d,%d) delivered under an invalid shard spec", g, point, seed)
 		})
-		if ran {
-			t.Fatalf("%+v: cells ran under an invalid shard spec", g)
-		}
-		for p := range outs {
-			for s := range outs[p] {
-				if outs[p][s].Err == nil {
-					t.Fatalf("%+v: cell (%d,%d) carries no error", g, p, s)
-				}
-			}
-		}
-	}
-}
-
-// TestEachFirstErr exercises the streaming replacement for the
-// Map+FirstErr pattern: the first failure in index order is captured
-// without materializing outcomes, identically for every worker count.
-func TestEachFirstErr(t *testing.T) {
-	const n = 50
-	boom := errors.New("boom")
-	for _, workers := range []int{1, 4} {
-		var agg FirstErrAgg[int]
-		sum := 0
-		err := Each(context.Background(), workers, n, func(i int) (int, error) {
-			if i == 17 || i == 33 {
-				return 0, fmt.Errorf("index %d: %w", i, boom)
-			}
-			return i, nil
-		}, func(i int, out Outcome[int]) {
-			agg.Cell(i, 0, out)
-			if out.Err == nil {
-				sum += out.Value
-			}
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !errors.Is(agg.Err, boom) || agg.Point != 17 {
-			t.Fatalf("workers=%d: first error %v at %d, want boom at 17", workers, agg.Err, agg.Point)
-		}
-		want := n*(n-1)/2 - 17 - 33
-		if sum != want {
-			t.Fatalf("workers=%d: sum %d, want %d", workers, sum, want)
-		}
-	}
-}
-
-// TestValuesAggMatchesRun proves the compatibility aggregator
-// materializes the same grid Run returns.
-func TestValuesAggMatchesRun(t *testing.T) {
-	const points, seeds = 4, 3
-	cell := func(point, seed int) (float64, error) {
-		if point == 2 && seed == 1 {
-			return 0, errors.New("dead cell")
-		}
-		return cellValue(point, seed), nil
-	}
-	ref := Run(context.Background(), Grid{Points: points, Seeds: seeds, Workers: 1}, cell)
-	agg := NewValuesAgg[float64](points, seeds)
-	if err := Reduce(context.Background(), Grid{Points: points, Seeds: seeds, Workers: 4}, cell, agg); err != nil {
-		t.Fatal(err)
-	}
-	for p := 0; p < points; p++ {
-		for s := 0; s < seeds; s++ {
-			got, want := agg.Outs[p][s], ref[p][s]
-			if got.Value != want.Value || (got.Err == nil) != (want.Err == nil) {
-				t.Fatalf("cell (%d,%d): got %+v, want %+v", p, s, got, want)
-			}
+		if err == nil {
+			t.Fatalf("%+v: invalid shard spec accepted", g)
 		}
 	}
 }

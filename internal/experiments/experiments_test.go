@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
+
+	"hybridcap/internal/engine"
 )
 
 func quick() Options { return Options{Quick: true, Seeds: 1} }
@@ -66,6 +70,25 @@ func TestFigure3Boundary(t *testing.T) {
 	for i := range rs.X {
 		if diff := rs.Y[i] - (1.5 - rs.X[i]); diff > 1e-9 || diff < -1e-9 {
 			t.Errorf("right boundary at alpha=%v is %v, want %v", rs.X[i], rs.Y[i], 1.5-rs.X[i])
+		}
+	}
+}
+
+// A canceled Figure 3 run must fail with the engine's cancellation
+// error instead of returning a heatmap of rows that never ran.
+func TestFigure3Canceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, fig := range []struct {
+		id  string
+		run func(Options) (*Result, error)
+	}{{"F3L", Figure3Left}, {"F3R", Figure3Right}} {
+		res, err := fig.run(Options{Quick: true, Ctx: ctx, Workers: 2})
+		if engine.Phase(err) != engine.PhaseCanceled || !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: error %v, want the canceled tag wrapping context.Canceled", fig.id, err)
+		}
+		if res != nil {
+			t.Errorf("%s: canceled run returned a result", fig.id)
 		}
 	}
 }

@@ -40,14 +40,11 @@ func Resilience(o Options) (*Result, error) {
 		lambda            float64
 		degraded, dropped int
 	}
-	// The seed grids fold through the streaming path (engine.Each):
-	// outcomes arrive in index order, so the running sums match a
-	// materialized slice bit for bit while only the first failure and
-	// the accumulators stay alive — no per-seed outcome slice.
+	// The seed grids are strict: any failed seed fails the point. The
+	// per-seed values are summed in seed order, so the means do not
+	// depend on the worker count.
 	evalAt := func(fc faults.Config) (lambda float64, degraded, dropped int, err error) {
-		var firstErr engine.FirstErrAgg[seedOutcome]
-		sum := 0.0
-		eerr := engine.Each(o.ctx(), o.workers(), o.seeds(), func(s int) (seedOutcome, error) {
+		outs, err := engine.Map(o.ctx(), o.workers(), o.seeds(), func(s int) (seedOutcome, error) {
 			plan, perr := faults.New(fc)
 			if perr != nil {
 				return seedOutcome{}, engine.ConstructErr(perr)
@@ -65,17 +62,15 @@ func Resilience(o Options) (*Result, error) {
 				return seedOutcome{}, engine.EvaluateErr(serr)
 			}
 			return seedOutcome{lambda: ev.Lambda, degraded: ev.Degraded, dropped: ev.Dropped}, nil
-		}, func(s int, out engine.Outcome[seedOutcome]) {
-			firstErr.Cell(s, 0, out)
-			sum += out.Value.lambda
-			degraded += out.Value.degraded
-			dropped += out.Value.dropped
 		})
-		if firstErr.Err != nil {
-			return 0, 0, 0, firstErr.Err
+		if err != nil {
+			return 0, 0, 0, err
 		}
-		if eerr != nil {
-			return 0, 0, 0, eerr
+		sum := 0.0
+		for _, out := range outs {
+			sum += out.lambda
+			degraded += out.degraded
+			dropped += out.dropped
 		}
 		return sum / float64(o.seeds()), degraded / o.seeds(), dropped / o.seeds(), nil
 	}
@@ -86,9 +81,7 @@ func Resilience(o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var floorErr engine.FirstErrAgg[float64]
-	floorSum := 0.0
-	ferr := engine.Each(o.ctx(), o.workers(), o.seeds(), func(s int) (float64, error) {
+	floors, err := engine.Map(o.ctx(), o.workers(), o.seeds(), func(s int) (float64, error) {
 		nw, tr, ierr := instance(p, uint64(90+s), network.Grid)
 		if ierr != nil {
 			return 0, engine.ConstructErr(ierr)
@@ -98,15 +91,13 @@ func Resilience(o Options) (*Result, error) {
 			return 0, engine.EvaluateErr(eerr)
 		}
 		return ev.Lambda, nil
-	}, func(s int, out engine.Outcome[float64]) {
-		floorErr.Cell(s, 0, out)
-		floorSum += out.Value
 	})
-	if floorErr.Err != nil {
-		return nil, floorErr.Err
+	if err != nil {
+		return nil, err
 	}
-	if ferr != nil {
-		return nil, ferr
+	floorSum := 0.0
+	for _, v := range floors {
+		floorSum += v
 	}
 	floor := floorSum / float64(o.seeds())
 	res.Rows = append(res.Rows,

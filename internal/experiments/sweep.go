@@ -133,6 +133,30 @@ func sweepLambda(o Options, name string, sizes []int, base scaling.Params, place
 	return sweepLambdaWith(o, name, sizes, base, placement, nil, nil, eval)
 }
 
+// meanGrid runs cell over a points x seeds grid, observed as phase
+// (see observeGrid; sizes labels the cells), and returns every point's
+// mean over its seeds. It is strict: the first failed cell in grid
+// order fails the whole grid, and so does a context that ended.
+func meanGrid(o Options, phase string, points int, sizes []int, cell func(point, seed int) (float64, error)) ([]float64, error) {
+	g := engine.Grid{Points: points, Seeds: o.seeds(), Workers: o.workers()}
+	finish := observeGrid(o, phase, &g, sizes)
+	agg := engine.NewMeanAgg(points)
+	var firstErr engine.FirstErrAgg[float64]
+	err := engine.Reduce(o.ctx(), g, cell, agg, &firstErr)
+	finish()
+	if firstErr.Err != nil {
+		return nil, firstErr.Err
+	}
+	if err != nil {
+		return nil, err
+	}
+	means := make([]float64, points)
+	for p := range means {
+		means[p], _, _, _ = agg.Point(p)
+	}
+	return means, nil
+}
+
 // scopeFn renders the canonical cell-cache scope of one grid point
 // (network size). Nil means the sweep's cells have no declarative
 // scope and must not be cached.
