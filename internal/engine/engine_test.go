@@ -25,25 +25,46 @@ func (f observerFunc) ObserveCell(point, seed int, d time.Duration, err error) {
 	f(point, seed, d, err)
 }
 
-// Map must dispatch every index exactly once for any worker count
-// (including more workers than indices and the inline serial path) and
-// return the values in index order, identical for every worker count.
-// A failing grid reports the same first failure for every worker count.
-func TestMapDeterministicAcrossWorkers(t *testing.T) {
+// Map must dispatch every index exactly once for any worker count,
+// including more workers than indices and the inline serial path.
+func TestForEachIndexDispatchesEveryIndexOnce(t *testing.T) {
 	const n = 37
 	for _, workers := range []int{0, 1, 2, 7, 64} {
 		counts := make([]int32, n)
-		got, err := Map(context.Background(), workers, n, func(i int) (int, error) {
+		if _, err := Map(context.Background(), workers, n, func(i int) (int, error) {
 			atomic.AddInt32(&counts[i], 1)
-			return i * i, nil
-		})
-		if err != nil {
+			return i, nil
+		}); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		for i, c := range counts {
 			if c != 1 {
 				t.Errorf("workers=%d: index %d dispatched %d times", workers, i, c)
 			}
+		}
+	}
+	// n <= 0 must be a no-op.
+	if _, err := Map(context.Background(), 4, 0, func(i int) (int, error) {
+		t.Errorf("dispatched index %d of empty range", i)
+		return 0, nil
+	}); err != nil {
+		t.Errorf("empty range: %v", err)
+	}
+}
+
+// Map must return the values in index order, identical for every worker
+// count, and a failing grid reports the same first failure for every
+// worker count.
+func TestMapDeterministicAcrossWorkers(t *testing.T) {
+	const n = 37
+	for _, workers := range []int{0, 1, 2, 7, 64} {
+		got, err := Map(context.Background(), workers, n, func(i int) (int, error) {
+			return i * i, nil
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i := range got {
 			if got[i] != i*i {
 				t.Errorf("workers=%d: value %d = %d, want %d", workers, i, got[i], i*i)
 			}
@@ -121,6 +142,33 @@ func TestMapErrorPrecedence(t *testing.T) {
 	})
 	if !errors.Is(err, context.Canceled) || Phase(err) != "" {
 		t.Errorf("error %v, want the bare ctx error", err)
+	}
+}
+
+// Map returns every value when all cells succeed and only the first
+// failure, not a later one, when some fail.
+func TestFirstErrAndValues(t *testing.T) {
+	vals, err := Map(context.Background(), 2, 2, func(i int) (int, error) { return i + 1, nil })
+	if err != nil {
+		t.Errorf("unexpected error %v", err)
+	}
+	if !reflect.DeepEqual(vals, []int{1, 2}) {
+		t.Errorf("values %v", vals)
+	}
+	vals, err = Map(context.Background(), 2, 3, func(i int) (int, error) {
+		switch i {
+		case 1:
+			return 0, errors.New("x")
+		case 2:
+			return 0, errors.New("y")
+		}
+		return 1, nil
+	})
+	if err == nil || err.Error() != "x" {
+		t.Errorf("first error %v", err)
+	}
+	if vals != nil {
+		t.Errorf("failed run returned values %v", vals)
 	}
 }
 
@@ -341,8 +389,7 @@ func TestMapCanceledBeforeStart(t *testing.T) {
 // cancellation finish, no cell starts after the cancel, and Map fails
 // with the PhaseCanceled error of the first undispatched index. The
 // gate makes the cut deterministic: exactly `workers` cells are in
-// flight when the context ends. The serial path likewise stops at the
-// index after the one that canceled.
+// flight when the context ends.
 func TestMapCancellationStopsScheduling(t *testing.T) {
 	const workers, n = 3, 40
 	ctx, cancel := context.WithCancel(context.Background())
@@ -371,22 +418,25 @@ func TestMapCancellationStopsScheduling(t *testing.T) {
 	if got := startedTotal.Load(); got != workers {
 		t.Errorf("%d cells started, want %d: a cell was dispatched after cancel", got, workers)
 	}
+}
 
-	ctx, cancel = context.WithCancel(context.Background())
+// The serial path honors cancellation between iterations.
+func TestForEachIndexSerialCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var ran int
-	_, err = Map(ctx, 1, 10, func(i int) (int, error) {
+	_, err := Map(ctx, 1, 10, func(i int) (int, error) {
 		ran++
 		if i == 2 {
 			cancel()
 		}
 		return i, nil
 	})
-	if Phase(err) != PhaseCanceled {
-		t.Errorf("serial: error %v, want canceled tag", err)
+	if Phase(err) != PhaseCanceled || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want a canceled tag wrapping context.Canceled", err)
 	}
 	if ran != 3 {
-		t.Errorf("serial: ran %d cells, want 3: the serial path must stop at the next index", ran)
+		t.Errorf("ran %d iterations, want 3: serial path must stop at the next index", ran)
 	}
 }
 

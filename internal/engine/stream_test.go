@@ -230,6 +230,44 @@ func TestReduceMeanMatchesRun(t *testing.T) {
 	}
 }
 
+// reducerFunc adapts a function to Reducer.
+type reducerFunc[T any] func(point, seed int, out Outcome[T])
+
+func (f reducerFunc[T]) Cell(point, seed int, out Outcome[T]) { f(point, seed, out) }
+
+// TestEachFirstErr exercises the streaming form of the strict pattern:
+// FirstErrAgg captures the first failure in grid order without
+// materializing outcomes, beside another reducer that sees every cell,
+// identically for every worker count.
+func TestEachFirstErr(t *testing.T) {
+	const n = 50
+	boom := errors.New("boom")
+	for _, workers := range []int{1, 4} {
+		var agg FirstErrAgg[int]
+		sum := 0
+		err := Reduce(context.Background(), Grid{Points: n, Seeds: 1, Workers: workers}, func(point, _ int) (int, error) {
+			if point == 17 || point == 33 {
+				return 0, fmt.Errorf("index %d: %w", point, boom)
+			}
+			return point, nil
+		}, &agg, reducerFunc[int](func(_, _ int, out Outcome[int]) {
+			if out.Err == nil {
+				sum += out.Value
+			}
+		}))
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !errors.Is(agg.Err, boom) || agg.Point != 17 || agg.Seed != 0 {
+			t.Fatalf("workers=%d: first error %v at %d/%d, want boom at 17/0", workers, agg.Err, agg.Point, agg.Seed)
+		}
+		want := n*(n-1)/2 - 17 - 33
+		if sum != want {
+			t.Fatalf("workers=%d: sum %d, want %d", workers, sum, want)
+		}
+	}
+}
+
 // TestShardCoverageUnion proves the contiguous-block shard math: for
 // every k, the k shards' coverage spans are non-empty-or-valid,
 // contiguous, disjoint, and their union is exactly [0, n).
