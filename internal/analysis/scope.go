@@ -32,6 +32,9 @@ var deterministicPkgs = map[string]bool{
 	// from scope + seed, so ambient clock/env/randomness reads would
 	// undermine the cache's share-a-directory-across-machines contract.
 	"cellcache": true,
+	// castore stores replayed bytes and must never read a clock, env or
+	// ambient randomness.
+	"castore": true,
 	// cells is the per-cell outcome artifact a sharded run writes and
 	// capmerge folds back together; its bytes must reproduce exactly for
 	// the merged report to be byte-identical to an unsharded run.

@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"hybridcap/internal/castore"
 )
 
 // DefaultPath is the conventional location of the benchmark trajectory,
@@ -89,39 +91,17 @@ func Read(path string) (*File, error) {
 }
 
 // Write stores the document, creating parent directories as needed. The
-// write goes through a temp file + rename so a crashed run never leaves
-// a truncated trajectory behind.
+// write is atomic (temp file + fsync + rename) so a crashed run never
+// leaves a truncated trajectory behind.
 func Write(path string, f *File) error {
 	data, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
 		return fmt.Errorf("benchio: %w", err)
 	}
-	data = append(data, '\n')
-	dir := filepath.Dir(path)
-	if dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("benchio: %w", err)
-		}
-	}
-	tmp, err := os.CreateTemp(dir, ".bench-*.json")
-	if err != nil {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("benchio: %w", err)
 	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		_ = tmp.Close() // best-effort cleanup: the write error is the one to report
-		_ = os.Remove(tmpName)
-		return fmt.Errorf("benchio: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmpName) // best-effort cleanup: the close error is the one to report
-		return fmt.Errorf("benchio: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		_ = os.Remove(tmpName) // best-effort cleanup: the rename error is the one to report
-		return fmt.Errorf("benchio: %w", err)
-	}
-	return nil
+	return castore.WriteFileAtomic(path, append(data, '\n'))
 }
 
 // Upsert inserts or replaces the record with rec's name and writes the

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"hybridcap/internal/castore"
 )
 
 func testStore(t *testing.T) *Store {
@@ -62,12 +64,12 @@ func TestKeySeparation(t *testing.T) {
 	}
 }
 
-// A miss is ErrMiss, not an eviction and not a failure.
+// A miss is castore.ErrMiss, not an eviction and not a failure.
 func TestGetMiss(t *testing.T) {
 	st := testStore(t)
 	_, evicted, err := st.Get(Key([]byte("nothing"), 1, 1))
-	if !errors.Is(err, ErrMiss) || evicted {
-		t.Fatalf("want ErrMiss without eviction, got evicted=%v err=%v", evicted, err)
+	if !errors.Is(err, castore.ErrMiss) || evicted {
+		t.Fatalf("want castore.ErrMiss without eviction, got evicted=%v err=%v", evicted, err)
 	}
 	if _, _, err := st.Get("../escape"); err == nil || !strings.Contains(err.Error(), "invalid key") {
 		t.Fatalf("path-like key accepted: %v", err)
@@ -112,7 +114,7 @@ func TestCorruptionEviction(t *testing.T) {
 			}
 			path := corruptEntry(t, st, mangle(data))
 			_, evicted, err := st.Get(Key(scope, 64, 9))
-			if err == nil || errors.Is(err, ErrMiss) {
+			if err == nil || errors.Is(err, castore.ErrMiss) {
 				t.Fatalf("corrupt entry served: %v", err)
 			}
 			if !evicted {
@@ -122,8 +124,8 @@ func TestCorruptionEviction(t *testing.T) {
 				t.Fatalf("entry file still on disk: %v", statErr)
 			}
 			// After eviction the cell is a plain miss and can be refilled.
-			if _, _, err := st.Get(Key(scope, 64, 9)); !errors.Is(err, ErrMiss) {
-				t.Fatalf("want ErrMiss after eviction, got %v", err)
+			if _, _, err := st.Get(Key(scope, 64, 9)); !errors.Is(err, castore.ErrMiss) {
+				t.Fatalf("want castore.ErrMiss after eviction, got %v", err)
 			}
 			if err := st.Put(scope, 64, 9, 0.5); err != nil {
 				t.Fatalf("refill: %v", err)
@@ -188,7 +190,7 @@ func TestReadStatsDeltas(t *testing.T) {
 	st := testStore(t)
 	before := ReadStats()
 	scope := []byte("stats")
-	if _, _, err := st.Get(Key(scope, 1, 1)); !errors.Is(err, ErrMiss) {
+	if _, _, err := st.Get(Key(scope, 1, 1)); !errors.Is(err, castore.ErrMiss) {
 		t.Fatalf("want miss: %v", err)
 	}
 	if err := st.Put(scope, 1, 1, 1.5); err != nil {

@@ -9,6 +9,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"hybridcap/internal/castore"
 )
 
 func testEntry(report string) *Entry {
@@ -57,8 +59,8 @@ func TestStoreMissingEntryIsCacheMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, evicted, err := st.Get(strings.Repeat("a", 64))
-	if !errors.Is(err, ErrCacheMiss) || evicted {
-		t.Errorf("Get(absent): evicted=%v err=%v, want ErrCacheMiss", evicted, err)
+	if !errors.Is(err, castore.ErrMiss) || evicted {
+		t.Errorf("Get(absent): evicted=%v err=%v, want castore.ErrMiss", evicted, err)
 	}
 }
 
@@ -104,14 +106,14 @@ func TestStoreCorruptEntryEvicted(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		_, evicted, err := st.Get(e.ScenarioSHA256)
-		if !errors.Is(err, errCorrupt) {
+		if !errors.Is(err, castore.ErrCorrupt) {
 			t.Errorf("%s: err = %v, want corrupt", name, err)
 		}
 		if !evicted {
 			t.Errorf("%s: corrupt entry not evicted", name)
 		}
-		if _, _, err := st.Get(e.ScenarioSHA256); !errors.Is(err, ErrCacheMiss) {
-			t.Errorf("%s: second Get = %v, want ErrCacheMiss after eviction", name, err)
+		if _, _, err := st.Get(e.ScenarioSHA256); !errors.Is(err, castore.ErrMiss) {
+			t.Errorf("%s: second Get = %v, want castore.ErrMiss after eviction", name, err)
 		}
 	}
 }
@@ -132,7 +134,7 @@ func TestStoreAddressMismatchIsCorrupt(t *testing.T) {
 		filepath.Join(dir, wrong+entrySuffix)); err != nil {
 		t.Fatal(err)
 	}
-	if _, evicted, err := st.Get(wrong); !errors.Is(err, errCorrupt) || !evicted {
+	if _, evicted, err := st.Get(wrong); !errors.Is(err, castore.ErrCorrupt) || !evicted {
 		t.Errorf("Get(wrong address): evicted=%v err=%v, want corrupt+evicted", evicted, err)
 	}
 }
@@ -144,7 +146,7 @@ func TestStoreRejectsInvalidHashes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range []string{"", "abc", "../../../etc/passwd", strings.Repeat("Z", 64), strings.Repeat("a", 63) + "/"} {
-		if _, _, err := st.Get(id); err == nil || errors.Is(err, ErrCacheMiss) {
+		if _, _, err := st.Get(id); err == nil || errors.Is(err, castore.ErrMiss) {
 			t.Errorf("Get(%q) = %v, want invalid-hash error", id, err)
 		}
 	}

@@ -32,6 +32,7 @@ import (
 	"sync"
 	"time"
 
+	"hybridcap/internal/castore"
 	"hybridcap/internal/cellcache"
 	"hybridcap/internal/experiments"
 	"hybridcap/internal/obs"
@@ -297,7 +298,8 @@ func (s *Server) submit(sc *scenario.Scenario, hash string) (Status, int) {
 		return s.statusLocked(r), http.StatusOK
 	} else if evicted {
 		s.cacheCorrupt.Inc()
-	} else if !errors.Is(err, ErrCacheMiss) && !errors.Is(err, errCorrupt) {
+		s.cacheEntries.Add(-1)
+	} else if !errors.Is(err, castore.ErrMiss) && !errors.Is(err, castore.ErrCorrupt) {
 		return Status{ID: hash, Name: sc.Name, State: StateFailed, Error: err.Error()},
 			http.StatusInternalServerError
 	}
@@ -359,15 +361,13 @@ func (s *Server) insertCachedLocked(e *Entry) *run {
 // lookup finds a run by id, falling back to the on-disk cache (the
 // restart path: results from a previous process are servable without
 // resubmission). A corrupt entry found this way is evicted and reported
-// as absent.
+// as absent, as is a malformed id, which Store.Get rejects before
+// building a path from it.
 func (s *Server) lookup(id string) (*run, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if r, ok := s.runs[id]; ok {
 		return r, true
-	}
-	if !validHash(id) {
-		return nil, false
 	}
 	e, evicted, err := s.store.Get(id)
 	if err != nil {

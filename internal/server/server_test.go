@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"hybridcap/internal/castore"
 	"hybridcap/internal/experiments"
 	"hybridcap/internal/obs"
 	"hybridcap/internal/scenario"
@@ -252,6 +253,11 @@ func TestCorruptCacheEntryRecomputed(t *testing.T) {
 	if _, evicted, err := s2.Store().Get(st.ID); err != nil || evicted {
 		t.Errorf("recomputed entry not healthy on disk: evicted=%v err=%v", evicted, err)
 	}
+	// The entries gauge must track the directory through the eviction
+	// and the re-put, not count the recomputed entry twice.
+	if hashes, err := s2.Store().Hashes(); err != nil || s2.cacheEntries.Value() != int64(len(hashes)) {
+		t.Errorf("server_cache_entries = %d, %d entries on disk (%v)", s2.cacheEntries.Value(), len(hashes), err)
+	}
 }
 
 // A run canceled by its deadline must finish in the canceled state and
@@ -267,7 +273,7 @@ func TestCanceledRunStoresNothing(t *testing.T) {
 	if final.State != StateCanceled {
 		t.Fatalf("run finished %s (%s), want canceled", final.State, final.Error)
 	}
-	if _, _, err := s.Store().Get(st.ID); !errors.Is(err, ErrCacheMiss) {
+	if _, _, err := s.Store().Get(st.ID); !errors.Is(err, castore.ErrMiss) {
 		t.Errorf("canceled run left a cache entry: %v", err)
 	}
 	if hashes, _ := s.Store().Hashes(); len(hashes) != 0 {
