@@ -1,7 +1,9 @@
-// Command capsim evaluates one hybrid-network instance: it builds the
-// network for the given scaling parameters, classifies its mobility
-// regime, evaluates the selected communication scheme and prints the
-// sustainable per-node rate next to the theoretical order.
+// Command capsim is the repository's one command. Without a mode flag
+// (-run, -scenario, -serve, -list-schemes; at most one may be given) it
+// evaluates one hybrid-network instance: it builds the network for the
+// given scaling parameters, classifies its mobility regime, evaluates
+// the selected communication scheme and prints the sustainable per-node
+// rate next to the theoretical order.
 //
 // Example:
 //
@@ -12,6 +14,13 @@
 // and -outage-curve sweeps the BS outage fraction from 0 to 1 printing
 // the capacity-vs-outage curve for every selected scheme.
 //
+// Experiment mode: -run regenerates Table I (T1), Figures 1-3 (F1, F2,
+// F3L, F3R) and the supporting experiments E1-E15, writing
+// <ID>.{txt,csv} under -out; -run all runs the whole registry:
+//
+//	capsim -run T1                # Table I at full size
+//	capsim -run all -quick        # small sweeps (seconds)
+//
 // Scenario mode: -scenario runs a declarative scenario JSON file (see
 // EXPERIMENTS.md "Scenarios") through the grid engine instead of a
 // single instance — new regimes without recompilation:
@@ -19,28 +28,19 @@
 //	capsim -scenario examples/scenarios/strong-mobility.json -quick
 //
 // Incremental recompute: -cell-cache DIR persists every evaluated grid
-// cell of a scenario sweep; re-running the same regime (or an edited
-// scenario sharing cells with it) replays the stored values
-// byte-identically and only computes the cells that changed. The same
-// flag under -serve shares the cell cache across daemon submissions:
+// cell of a scenario sweep (a -scenario file, or T1, E3, E8 and E15
+// under -run); re-running the same regime (or an edited scenario
+// sharing cells with it) replays the stored values byte-identically and
+// only computes the cells that changed. The same flag under -serve
+// shares the cell cache across daemon submissions:
 //
 //	capsim -scenario examples/scenarios/strong-mobility.json -cell-cache out/cells
-//
-// Benchmarking: -bench skips the single-instance evaluation and runs
-// the benchmark trajectory instead — the Table-I sweep timed once at
-// Workers=1 and once at -workers (0 = all CPU cores), verified for
-// bit-identical results, with wall time, cells/sec and speedup upserted
-// into -bench-out (BENCH_sweep.json by default):
-//
-//	capsim -bench                 # all cores
-//	capsim -bench -workers 4      # bounded pool
 //
 // Observability: -metrics-out dumps the run's metrics registry
 // (Prometheus text format) and -trace-out its span tree (JSON);
 // -frozen-clock pins every timestamp to a fixed epoch so both files are
-// byte-identical across runs and worker counts. -serve-metrics ADDR
-// serves the live registry (/metrics, /debug/vars) and -pprof ADDR the
-// standard profiler while a long sweep runs:
+// byte-identical across runs and worker counts. -debug ADDR serves the
+// daemon's /metrics, /debug/vars and /debug/pprof routes while running:
 //
 //	capsim -scenario examples/scenarios/strong-mobility.json -quick \
 //	    -frozen-clock -metrics-out out/metrics.txt -trace-out out/trace.json
@@ -56,22 +56,20 @@ package main
 
 import (
 	"context"
-	"expvar"
+	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
-	_ "net/http/pprof" // registers /debug/pprof on the default mux for -pprof
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
-	"hybridcap/internal/benchio"
 	"hybridcap/internal/capacity"
-	"hybridcap/internal/cli"
+	"hybridcap/internal/cellcache"
 	"hybridcap/internal/experiments"
 	"hybridcap/internal/faults"
 	"hybridcap/internal/network"
@@ -86,74 +84,103 @@ import (
 
 func main() {
 	// SIGINT/SIGTERM cancel the run context: the daemon drains
-	// gracefully, and an in-flight scenario sweep stops scheduling grid
-	// cells promptly instead of running to completion.
+	// gracefully, and an in-flight sweep stops scheduling grid cells
+	// promptly instead of running to completion.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx); err != nil {
+	if err := run(ctx, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "capsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context) error {
-	var (
-		n           = flag.Int("n", 4096, "number of mobile stations")
-		alpha       = flag.Float64("alpha", 0.3, "network extension exponent: f(n) = n^alpha")
-		kExp        = flag.Float64("K", 0.6, "BS count exponent: k = n^K (negative = no BSs)")
-		phi         = flag.Float64("phi", 1, "backbone exponent: k*c(n) = n^phi")
-		mExp        = flag.Float64("M", 1, "cluster count exponent: m = n^M (1 = uniform)")
-		rExp        = flag.Float64("R", 0, "cluster radius exponent: r = n^-R")
-		scheme      = flag.String("scheme", "best", "a routing scheme name (see -list-schemes) or best")
-		listSchemes = flag.Bool("list-schemes", false, "print the routing scheme registry with descriptions and exit")
-		placement   = flag.String("placement", "matched", "matched | uniform | grid")
-		seed        = flag.Uint64("seed", 1, "random seed")
-		bsOutage    = flag.Float64("bs-outage", 0, "fraction of base stations failed (nested outage sets)")
-		edgeOutage  = flag.Float64("edge-outage", 0, "fraction of backbone edges failed")
-		erasure     = flag.Float64("erasure", 0, "per-slot wireless erasure probability (packet sims)")
-		faultSeed   = flag.Uint64("fault-seed", 1, "seed of the deterministic fault plan")
-		outageCurve = flag.Bool("outage-curve", false, "sweep the BS outage fraction 0..1 and print the capacity curve")
-		scenarioArg = flag.String("scenario", "", "run a declarative scenario JSON file through the grid engine (uses -out/-quick/-seeds/-workers)")
-		shardArg    = flag.String("shard", "", "with -scenario: run only shard i of k (\"i/k\", e.g. 0/3) of the sweep grid; merge the shard outputs with capmerge")
-		bench       = flag.Bool("bench", false, "run the benchmark trajectory (serial vs parallel Table-I sweep) and write -bench-out")
-		benchOut    = flag.String("bench-out", benchio.DefaultPath, "benchmark trajectory JSON path (with -bench)")
-		benchSeeds  = flag.Int("bench-seeds", 4, "seeds per grid point for -bench")
-		benchQuick  = flag.Bool("bench-quick", true, "with -bench: small sweep sizes (seconds, not minutes)")
-		serveAddr   = flag.String("serve-metrics", "", "serve the live metrics registry on this address (/metrics Prometheus text, /debug/vars expvar) while running")
-		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address while running")
-		daemonAddr  = flag.String("serve", "", "run the scenario service on this address (POST /runs; see README \"Scenario service\")")
-		cacheDir    = flag.String("cache-dir", "out/cache", "content-addressed result cache directory (with -serve)")
-		maxQueue    = flag.Int("max-queue", 16, "admission queue bound; a full queue sheds with 429 (with -serve)")
-		maxConc     = flag.Int("max-concurrent", 2, "concurrent scenario runs (with -serve)")
-		runTimeout  = flag.Duration("run-timeout", 0, "per-run deadline, 0 = none (with -serve)")
-		drainWait   = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain deadline (with -serve)")
-	)
-	common := cli.Bind(flag.CommandLine)
-	flag.Parse()
+// errModeConflict is returned when more than one mode flag is set.
+var errModeConflict = errors.New("modes are exclusive, pick one")
 
-	if *listSchemes {
+func run(ctx context.Context, args []string) error {
+	fs := flag.NewFlagSet("capsim", flag.ContinueOnError)
+	var (
+		n           = fs.Int("n", 4096, "number of mobile stations")
+		alpha       = fs.Float64("alpha", 0.3, "network extension exponent: f(n) = n^alpha")
+		kExp        = fs.Float64("K", 0.6, "BS count exponent: k = n^K (negative = no BSs)")
+		phi         = fs.Float64("phi", 1, "backbone exponent: k*c(n) = n^phi")
+		mExp        = fs.Float64("M", 1, "cluster count exponent: m = n^M (1 = uniform)")
+		rExp        = fs.Float64("R", 0, "cluster radius exponent: r = n^-R")
+		scheme      = fs.String("scheme", "best", "a routing scheme name (see -list-schemes) or best")
+		listSchemes = fs.Bool("list-schemes", false, "print the routing scheme registry with descriptions and exit")
+		placement   = fs.String("placement", "matched", "matched | uniform | grid")
+		seed        = fs.Uint64("seed", 1, "random seed")
+		bsOutage    = fs.Float64("bs-outage", 0, "fraction of base stations failed (nested outage sets)")
+		edgeOutage  = fs.Float64("edge-outage", 0, "fraction of backbone edges failed")
+		erasure     = fs.Float64("erasure", 0, "per-slot wireless erasure probability (packet sims)")
+		faultSeed   = fs.Uint64("fault-seed", 1, "seed of the deterministic fault plan")
+		outageCurve = fs.Bool("outage-curve", false, "sweep the BS outage fraction 0..1 and print the capacity curve")
+		runIDs      = fs.String("run", "", "regenerate experiments: comma-separated ids (T1, F1, F2, F3L, F3R, E1..E15) or all (uses -out/-quick/-seeds/-workers)")
+		scenarioArg = fs.String("scenario", "", "run a declarative scenario JSON file through the grid engine (uses -out/-quick/-seeds/-workers)")
+		shardArg    = fs.String("shard", "", "with -scenario: run only shard i of k (\"i/k\", e.g. 0/3) of the sweep grid; merge the shard outputs with capmerge")
+		debugAddr   = fs.String("debug", "", "serve /metrics, /debug/vars and /debug/pprof on this address while running")
+		daemonAddr  = fs.String("serve", "", "run the scenario service on this address (POST /runs; see README \"Scenario service\")")
+		cacheDir    = fs.String("cache-dir", "out/cache", "content-addressed result cache directory (with -serve)")
+		maxQueue    = fs.Int("max-queue", 16, "admission queue bound; a full queue sheds with 429 (with -serve)")
+		maxConc     = fs.Int("max-concurrent", 2, "concurrent scenario runs (with -serve)")
+		runTimeout  = fs.Duration("run-timeout", 0, "per-run deadline, 0 = none (with -serve)")
+		drainWait   = fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain deadline (with -serve)")
+	)
+	c := bindCommon(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
+
+	var modes []string
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "serve", "scenario", "run", "list-schemes":
+			modes = append(modes, "-"+f.Name)
+		}
+	})
+	if len(modes) > 1 {
+		return fmt.Errorf("%w: %s", errModeConflict, strings.Join(modes, " and "))
+	}
+	if *shardArg != "" && *scenarioArg == "" {
+		return fmt.Errorf("-shard requires -scenario")
+	}
+	if *debugAddr != "" {
+		stopDebug, err := startDebug(*debugAddr)
+		if err != nil {
+			return err
+		}
+		defer stopDebug()
+	}
+	switch {
+	case *listSchemes:
 		printSchemes()
 		return nil
-	}
-	serveDebug(*serveAddr, *pprofAddr)
-	if *daemonAddr != "" {
-		return runServe(ctx, *daemonAddr, common, server.Config{
+	case *daemonAddr != "":
+		return runServe(ctx, *daemonAddr, c, server.Config{
 			CacheDir:      *cacheDir,
-			CellCacheDir:  common.CellCache,
+			CellCacheDir:  c.cellCache,
 			MaxQueue:      *maxQueue,
 			MaxConcurrent: *maxConc,
 			RunTimeout:    *runTimeout,
 			DrainTimeout:  *drainWait,
 		})
-	}
-	if *scenarioArg != "" {
-		return runScenarioFile(ctx, *scenarioArg, *shardArg, common)
-	}
-	if *shardArg != "" {
-		return fmt.Errorf("-shard requires -scenario")
-	}
-	if *bench {
-		return runBench(common.Workers, *benchSeeds, *benchQuick, *benchOut, common.Clock())
+	case *scenarioArg != "":
+		sc, err := loadScenario(*scenarioArg, *shardArg)
+		if err != nil {
+			return err
+		}
+		return c.runReports(ctx, experiments.Entry{ID: sc.Name, Run: func(o experiments.Options) (*experiments.Result, error) {
+			return experiments.RunScenario(ctx, sc, o)
+		}})
+	case *runIDs != "":
+		entries, err := lookupExperiments(*runIDs)
+		if err != nil {
+			return err
+		}
+		return c.runReports(ctx, entries...)
 	}
 
 	p := scaling.Params{N: *n, Alpha: *alpha, K: *kExp, Phi: *phi, M: *mExp, R: *rExp}
@@ -240,37 +267,23 @@ func run(ctx context.Context) error {
 	return nil
 }
 
-// runBench runs the benchmark trajectory: the Table-I sweep timed at
-// Workers=1 and at the requested pool size through benchio.Collect
-// (which also checks the two runs for identical results), with the
-// headline numbers printed and upserted into the trajectory file. The
-// clock is injected from main, the only layer allowed to touch the
-// wall clock.
-func runBench(workers, seeds int, quick bool, outPath string, clock obs.Clock) error {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
+// lookupExperiments resolves a -run list (comma-separated ids, or "all"
+// for the whole registry in presentation order) before anything runs,
+// so a typo fails fast.
+func lookupExperiments(ids string) ([]experiments.Entry, error) {
+	if ids == "all" {
+		return experiments.All(), nil
 	}
-	fmt.Printf("benchmark trajectory: T1 sweep, %d seeds/point, quick=%v\n", seeds, quick)
-	rec, err := benchio.Collect(benchio.CollectConfig{
-		Name:       "capsim-bench-T1",
-		Experiment: "T1",
-		Workers:    workers,
-		Clock:      clock,
-	}, func(w int) (*experiments.Result, error) {
-		return experiments.Table1(experiments.Options{Quick: quick, Seeds: seeds, Workers: w})
-	})
-	if err != nil {
-		return err
+	var entries []experiments.Entry
+	for _, id := range strings.Split(ids, ",") {
+		id = strings.TrimSpace(id)
+		run, err := experiments.Lookup(id)
+		if err != nil {
+			return nil, err
+		}
+		entries = append(entries, experiments.Entry{ID: id, Run: run})
 	}
-	fmt.Printf("workers=1:  %8.3fs\n", rec.SerialSeconds)
-	fmt.Printf("workers=%d: %8.3fs  (%d cells, %.1f cells/s, speedup %.2fx, cache %d hits / %d misses)\n",
-		workers, rec.WallSeconds, rec.Cells, rec.CellsPerSec, rec.Speedup,
-		rec.CacheHits, rec.CacheMisses)
-	if err := benchio.Upsert(outPath, rec); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", outPath)
-	return nil
+	return entries, nil
 }
 
 // printOutageCurve sweeps the BS outage fraction with the other fault
@@ -336,32 +349,34 @@ func selectSchemes(name string, p scaling.Params) ([]routing.Scheme, error) {
 	return []routing.Scheme{s}, nil
 }
 
-// serveDebug starts the optional debug endpoints: the live metrics
-// registry (Prometheus text plus the expvar bridge) and net/http/pprof.
-// The user asked for these listeners explicitly, so a listener that
-// fails to come up (or dies later) is reported and fatal — silently
-// running without the requested endpoint would hide exactly the
-// failures it exists to expose.
-func serveDebug(metricsAddr, pprofAddr string) {
-	fatalServe := func(name, addr string, h http.Handler) {
-		go func() {
-			// http.ListenAndServe only ever returns a non-nil error.
-			err := http.ListenAndServe(addr, h)
-			fmt.Fprintf(os.Stderr, "capsim: %s listener on %s failed: %v\n", name, addr, err)
+// startDebug serves the shared debug routes (server.RegisterDebug) for
+// the process-default registry on addr and returns the function that
+// stops the listener. The address is bound before the run starts, so a
+// busy or malformed one fails the command instead of leaving it running
+// without the endpoint it was asked for; a listener that dies later is
+// reported and fatal for the same reason.
+func startDebug(addr string) (stop func(), err error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("-debug: %w", err)
+	}
+	mux := http.NewServeMux()
+	server.RegisterDebug(mux, obs.Default())
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+			fmt.Fprintf(os.Stderr, "capsim: -debug listener on %s failed: %v\n", addr, err)
 			os.Exit(1)
-		}()
-	}
-	if metricsAddr != "" {
-		obs.PublishExpvar("hybridcap", obs.Default())
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", obs.Default().Handler())
-		mux.Handle("/debug/vars", expvar.Handler())
-		fatalServe("-serve-metrics", metricsAddr, mux)
-	}
-	if pprofAddr != "" {
-		// The pprof import registered its handlers on the default mux.
-		fatalServe("-pprof", pprofAddr, nil)
-	}
+		}
+	}()
+	return func() {
+		// Close only fails with the listener's own close error; the
+		// run's result is already decided.
+		_ = srv.Close()
+		<-done
+	}, nil
 }
 
 // runServe runs the scenario service until the signal context cancels,
@@ -369,11 +384,11 @@ func serveDebug(metricsAddr, pprofAddr string) {
 // -quick/-seeds/-workers options, so a served run is byte-identical to
 // the same scenario under `capsim -scenario`; -frozen-clock freezes the
 // bookkeeping stamps for deterministic smoke tests.
-func runServe(ctx context.Context, addr string, c *cli.Common, cfg server.Config) error {
-	cfg.Workers = c.Workers
-	cfg.Seeds = c.Seeds
-	cfg.Quick = c.Quick
-	cfg.Clock = c.Clock()
+func runServe(ctx context.Context, addr string, c *common, cfg server.Config) error {
+	cfg.Workers = c.workers
+	cfg.Seeds = c.seeds
+	cfg.Quick = c.quick
+	cfg.Clock = c.clock()
 	srv, err := server.New(cfg)
 	if err != nil {
 		return err
@@ -387,51 +402,19 @@ func runServe(ctx context.Context, addr string, c *cli.Common, cfg server.Config
 	return nil
 }
 
-// runScenarioFile loads a declarative scenario file, executes it
-// through the grid engine under the observability runtime selected by
-// the shared flags, and writes the report artifacts (including the run
-// manifest) plus any requested -metrics-out/-trace-out dumps. The
-// signal context cancels an in-flight sweep promptly. A -shard spec
+// loadScenario loads a declarative scenario file. A -shard spec
 // overrides the file's shard field and restricts the run to one block
 // of the sweep grid.
-func runScenarioFile(ctx context.Context, path, shardSpec string, c *cli.Common) error {
+func loadScenario(path, shardSpec string) (*scenario.Scenario, error) {
 	sc, err := scenario.Load(path)
+	if err != nil || shardSpec == "" {
+		return sc, err
+	}
+	sc.Shard, err = parseShard(shardSpec)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if shardSpec != "" {
-		sp, err := parseShard(shardSpec)
-		if err != nil {
-			return err
-		}
-		sc.Shard = sp
-		if err := sc.Validate(); err != nil {
-			return err
-		}
-	}
-	rt := c.Runtime()
-	o := c.Options()
-	o.Obs = rt
-	o.CellCache, err = c.CellStore()
-	if err != nil {
-		return err
-	}
-	res, err := experiments.RunScenario(ctx, sc, o)
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Text())
-	if c.Out != "" {
-		if err := res.WriteFiles(c.Out); err != nil {
-			return err
-		}
-		if res.Cells != nil {
-			fmt.Printf("\nwrote %s/%s.{txt,csv,manifest.json,cells.json}\n", c.Out, res.ID)
-		} else {
-			fmt.Printf("\nwrote %s/%s.{txt,csv,manifest.json}\n", c.Out, res.ID)
-		}
-	}
-	return c.WriteObs(rt)
+	return sc, sc.Validate()
 }
 
 // parseShard parses a -shard spec of the form "i/k" (shard index i of k
@@ -451,4 +434,95 @@ func parseShard(spec string) (*scenario.ShardSpec, error) {
 		return nil, fmt.Errorf("-shard %q: bad count: %w", spec, err)
 	}
 	return &scenario.ShardSpec{Index: i, Count: k}, nil
+}
+
+// common holds the flags every experiment-running mode (-run,
+// -scenario, -serve) shares; each is documented by its help string.
+type common struct {
+	out, metricsOut, traceOut, cellCache string
+	quick, frozenClock                   bool
+	seeds, workers                       int
+}
+
+// bindCommon registers the shared flags on fs and returns the
+// destination struct; read it after fs.Parse.
+func bindCommon(fs *flag.FlagSet) *common {
+	c := &common{}
+	fs.StringVar(&c.out, "out", "out", "output directory for CSV/TXT artifacts")
+	fs.BoolVar(&c.quick, "quick", false, "smaller sweeps for a fast smoke run")
+	fs.IntVar(&c.seeds, "seeds", 0, "seeds per data point (0 = default)")
+	fs.IntVar(&c.workers, "workers", 0, "parallel sweep workers (0 = all CPU cores); results are identical for every worker count")
+	fs.StringVar(&c.metricsOut, "metrics-out", "", "write the run's metrics registry (Prometheus text format) to this file")
+	fs.StringVar(&c.traceOut, "trace-out", "", "write the run's span tree (JSON) to this file")
+	fs.BoolVar(&c.frozenClock, "frozen-clock", false, "freeze observability timestamps at a fixed epoch (byte-reproducible -metrics-out/-trace-out)")
+	fs.StringVar(&c.cellCache, "cell-cache", "", "persistent cell-result cache directory: scenario sweep cells (-scenario; T1, E3, E8, E15 under -run) replay across runs, byte-identically (empty = off)")
+	return c
+}
+
+// options converts the shared flags into experiment options: ctx
+// cancels the run, a fresh observability runtime on the selected clock
+// publishes into the process-default registry (so engine, cache and
+// fault metrics all land in one -metrics-out dump), and the -cell-cache
+// store is opened when the flag is set.
+func (c *common) options(ctx context.Context) (experiments.Options, error) {
+	o := experiments.Options{Quick: c.quick, Seeds: c.seeds, Workers: c.workers, Obs: obs.NewRuntime(c.clock()), Ctx: ctx}
+	if c.cellCache == "" {
+		return o, nil
+	}
+	var err error
+	o.CellCache, err = cellcache.NewStore(c.cellCache)
+	return o, err
+}
+
+// runReports runs each entry under the shared options, printing its
+// report and writing its artifacts (the report, CSV, and for scenarios
+// the run manifest) under -out unless -out is empty, then writes the
+// requested -metrics-out/-trace-out dumps. The signal context cancels
+// an in-flight sweep promptly.
+func (c *common) runReports(ctx context.Context, entries ...experiments.Entry) error {
+	o, err := c.options(ctx)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		res, err := e.Run(o)
+		if err != nil {
+			return fmt.Errorf("%s: %w", e.ID, err)
+		}
+		fmt.Print(res.Text())
+		if c.out == "" {
+			continue
+		}
+		if err := res.WriteFiles(c.out); err != nil {
+			return err
+		}
+		fmt.Printf("\nwrote %s/%s.*\n\n", c.out, res.ID)
+	}
+	return c.writeObs(o.Obs)
+}
+
+// clock returns the observability clock the flags select: frozen at
+// obs.Epoch under -frozen-clock, the wall clock otherwise. The command
+// is the only layer allowed to construct a wall clock; everything below
+// receives it by injection.
+func (c *common) clock() obs.Clock {
+	if c.frozenClock {
+		return obs.NewFrozenClock(obs.Epoch)
+	}
+	return obs.ClockFunc(time.Now)
+}
+
+// writeObs finishes the run's root span and writes the -metrics-out and
+// -trace-out artifacts that were requested.
+func (c *common) writeObs(rt *obs.Runtime) error {
+	rt.Root.End()
+	if c.metricsOut != "" {
+		if err := rt.WriteMetricsFile(c.metricsOut); err != nil {
+			return err
+		}
+	}
+	if c.traceOut != "" {
+		return rt.WriteTraceFile(c.traceOut)
+	}
+	return nil
 }

@@ -51,7 +51,6 @@ func TestInScope(t *testing.T) {
 		{"nondeterminism", "hybridcap/internal/obs", true},       // obs must take time from an injected Clock
 		{"nondeterminism", "hybridcap/internal/cellcache", true}, // persisted entries must replay identically across hosts
 		{"nondeterminism", "hybridcap/internal/castore", true},   // stores replayed bytes for both caches
-		{"nondeterminism", "hybridcap/internal/cli", false},      // cli constructs the wall clock for injection
 		{"nondeterminism", "hybridcap/cmd/capsim", false},
 		{"floateq", "hybridcap/internal/capacity", true},
 		{"floateq", "hybridcap/internal/scaling", true},

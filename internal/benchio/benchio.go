@@ -42,10 +42,6 @@ type Record struct {
 	Speedup float64 `json:"speedup,omitempty"`
 	// Fits maps series names to fitted lambda scaling exponents.
 	Fits map[string]float64 `json:"lambda_fits,omitempty"`
-	// CacheHits and CacheMisses are the mobility kernel-cache counter
-	// deltas over the run.
-	CacheHits   uint64 `json:"cache_hits,omitempty"`
-	CacheMisses uint64 `json:"cache_misses,omitempty"`
 	// CellCacheHits and CellCacheMisses are the persistent cell-cache
 	// counter deltas over the run (warm-cache trajectory records).
 	CellCacheHits   uint64 `json:"cell_cache_hits,omitempty"`

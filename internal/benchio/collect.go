@@ -6,92 +6,20 @@ import (
 	"time"
 
 	"hybridcap/internal/experiments"
-	"hybridcap/internal/mobility"
 	"hybridcap/internal/obs"
 )
 
 // CollectConfig parameterizes one trajectory measurement.
 type CollectConfig struct {
-	// Name identifies the record in the trajectory file.
+	// Name prefixes the record names in the trajectory file.
 	Name string
 	// Experiment is the registered experiment id the workload runs.
 	Experiment string
-	// Workers is the pool size of the parallel run; <= 0 is an error
-	// (the caller resolves its own default).
-	Workers int
 	// Clock times the runs and stamps UpdatedAt. It is injected so this
 	// package never reads the wall clock itself; nil freezes time at
 	// obs.Epoch, which yields zero wall times and omits the rate and
 	// speedup fields rather than emitting +Inf.
 	Clock obs.Clock
-	// Span, if set, receives one recorded child per timed run, so a
-	// traced benchmark shows up in the trace alongside the sweep spans.
-	Span *obs.Span
-}
-
-// Collect measures the serial-vs-parallel trajectory of a workload: it
-// runs the workload once at Workers=1 and once at cfg.Workers, timing
-// both with the injected clock and snapshotting the kernel-cache
-// counters around the parallel run, verifies the two runs produced
-// identical results (the engine's byte-identity promise), and assembles
-// the benchmark record. This is the one implementation behind both the
-// BenchmarkTable1 trajectory and `capsim -bench`.
-func Collect(cfg CollectConfig, run func(workers int) (*experiments.Result, error)) (Record, error) {
-	if cfg.Workers <= 0 {
-		return Record{}, fmt.Errorf("benchio: collect %s: workers %d <= 0", cfg.Name, cfg.Workers)
-	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = obs.NewFrozenClock(obs.Epoch)
-	}
-
-	t0 := clock.Now()
-	serialRes, err := run(1)
-	if err != nil {
-		return Record{}, fmt.Errorf("benchio: collect %s serial: %w", cfg.Name, err)
-	}
-	serial := clock.Now().Sub(t0)
-
-	statsBefore := mobility.ReadCacheStats()
-	t0 = clock.Now()
-	parRes, err := run(cfg.Workers)
-	if err != nil {
-		return Record{}, fmt.Errorf("benchio: collect %s workers=%d: %w", cfg.Name, cfg.Workers, err)
-	}
-	wall := clock.Now().Sub(t0)
-	statsAfter := mobility.ReadCacheStats()
-
-	if cfg.Span != nil {
-		cfg.Span.Record("serial", serial)
-		cfg.Span.Record(fmt.Sprintf("parallel workers=%d", cfg.Workers), wall)
-	}
-	if err := SameResults(serialRes, parRes); err != nil {
-		return Record{}, fmt.Errorf("benchio: collect %s: %w", cfg.Name, err)
-	}
-
-	cells := CountCells(parRes)
-	rec := Record{
-		Name:          cfg.Name,
-		Experiment:    cfg.Experiment,
-		Workers:       cfg.Workers,
-		Cells:         cells,
-		WallSeconds:   wall.Seconds(),
-		SerialSeconds: serial.Seconds(),
-		Fits:          map[string]float64{},
-		CacheHits:     statsAfter.Hits - statsBefore.Hits,
-		CacheMisses:   statsAfter.Misses - statsBefore.Misses,
-		UpdatedAt:     clock.Now().UTC().Format(time.RFC3339),
-	}
-	// A frozen clock measures zero wall time; leave the derived rates at
-	// zero instead of dividing into +Inf (which JSON cannot encode).
-	if wall > 0 {
-		rec.CellsPerSec = float64(cells) / wall.Seconds()
-		rec.Speedup = serial.Seconds() / wall.Seconds()
-	}
-	for name, fit := range parRes.Fits {
-		rec.Fits[name] = fit.Exponent
-	}
-	return rec, nil
 }
 
 // CollectSweep measures the workload once per requested worker count
@@ -101,8 +29,15 @@ func Collect(cfg CollectConfig, run func(workers int) (*experiments.Result, erro
 // "<cfg.Name>/workers=<w>". Each timed run is additionally bracketed in
 // runtime.MemStats reads, so the records carry allocation churn per
 // grid cell — the axis profile-driven optimization moves. A worker
-// count of 1 reuses the baseline measurement instead of re-running.
+// count of 1 reuses the baseline measurement instead of re-running; a
+// non-positive one is an error, since the caller resolves its own
+// default.
 func CollectSweep(cfg CollectConfig, workerCounts []int, run func(workers int) (*experiments.Result, error)) ([]Record, error) {
+	for _, w := range workerCounts {
+		if w <= 0 {
+			return nil, fmt.Errorf("benchio: collect %s: workers %d <= 0", cfg.Name, w)
+		}
+	}
 	clock := cfg.Clock
 	if clock == nil {
 		clock = obs.NewFrozenClock(obs.Epoch)
@@ -115,7 +50,7 @@ func CollectSweep(cfg CollectConfig, workerCounts []int, run func(workers int) (
 	var recs []Record
 	seen := map[int]bool{}
 	for _, w := range workerCounts {
-		if w <= 0 || seen[w] {
+		if seen[w] {
 			continue
 		}
 		seen[w] = true

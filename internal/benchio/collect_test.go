@@ -22,69 +22,71 @@ func fakeResult(lambda float64) *experiments.Result {
 	}
 }
 
-// Collect times both runs with the injected clock, records the spans,
-// verifies serial/parallel identity and assembles the record.
+// CollectSweep times the serial baseline and each further worker count
+// with the injected clock, reuses the baseline for workers=1, verifies
+// identity and assembles one record per count.
 func TestCollectSteppedClock(t *testing.T) {
 	clock := obs.NewStepClock(obs.Epoch, time.Second)
-	span := obs.NewSpan(clock, "bench")
 	var workerArgs []int
-	rec, err := Collect(CollectConfig{
-		Name: "bench-x", Experiment: "T1", Workers: 8, Clock: clock, Span: span,
-	}, func(workers int) (*experiments.Result, error) {
-		workerArgs = append(workerArgs, workers)
-		return fakeResult(2), nil
-	})
+	recs, err := CollectSweep(CollectConfig{Name: "bench-x", Experiment: "T1", Clock: clock},
+		[]int{1, 8, 8}, func(workers int) (*experiments.Result, error) {
+			workerArgs = append(workerArgs, workers)
+			return fakeResult(2), nil
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(workerArgs) != 2 || workerArgs[0] != 1 || workerArgs[1] != 8 {
 		t.Errorf("worker sequence %v, want [1 8]", workerArgs)
 	}
-	if rec.Name != "bench-x" || rec.Experiment != "T1" || rec.Workers != 8 {
-		t.Errorf("record header %+v", rec)
+	if len(recs) != 2 || recs[0].Name != "bench-x/workers=1" || recs[1].Name != "bench-x/workers=8" {
+		t.Fatalf("records %+v, want bench-x/workers=1 and =8", recs)
 	}
-	if rec.Cells != 8 {
-		t.Errorf("cells %d, want 8", rec.Cells)
+	for _, rec := range recs {
+		if rec.Experiment != "T1" || rec.Cells != 8 {
+			t.Errorf("record header %+v", rec)
+		}
+		// Each timed run saw exactly one stepped second.
+		if rec.SerialSeconds != 1 || rec.WallSeconds != 1 || rec.Speedup != 1 || rec.CellsPerSec != 8 {
+			t.Errorf("timing %+v", rec)
+		}
+		if rec.Fits["sweep"] != -0.5 {
+			t.Errorf("fits %v", rec.Fits)
+		}
+		if rec.UpdatedAt == "" {
+			t.Error("UpdatedAt not stamped")
+		}
 	}
-	// Each timed phase saw exactly one stepped second.
-	if rec.SerialSeconds != 1 || rec.WallSeconds != 1 || rec.Speedup != 1 || rec.CellsPerSec != 8 {
-		t.Errorf("timing %+v", rec)
-	}
-	if rec.Fits["sweep"] != -0.5 {
-		t.Errorf("fits %v", rec.Fits)
-	}
-	if rec.UpdatedAt == "" {
-		t.Error("UpdatedAt not stamped")
-	}
-	span.End()
-	tree := span.Tree()
-	if len(tree.Children) != 2 || tree.Children[0].Name != "serial" || tree.Children[1].Name != "parallel workers=8" {
-		t.Errorf("span children %+v", tree.Children)
+	if recs[1].Workers != 8 {
+		t.Errorf("workers %d, want 8", recs[1].Workers)
 	}
 }
 
 // A frozen clock yields zero wall times; the derived rates must stay
 // zero (JSON cannot encode the +Inf a naive division produces) and the
-// record must still serialize.
+// records must still serialize.
 func TestCollectFrozenClockSerializes(t *testing.T) {
-	rec, err := Collect(CollectConfig{Name: "frozen", Workers: 2},
+	recs, err := CollectSweep(CollectConfig{Name: "frozen"}, []int{1, 2},
 		func(workers int) (*experiments.Result, error) { return fakeResult(1), nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.CellsPerSec != 0 || rec.Speedup != 0 {
-		t.Errorf("frozen-clock rates %+v", rec)
-	}
 	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := Upsert(path, rec); err != nil {
-		t.Fatalf("record does not serialize: %v", err)
+	for _, rec := range recs {
+		if rec.CellsPerSec != 0 || rec.Speedup != 0 {
+			t.Errorf("frozen-clock rates %+v", rec)
+		}
+		if err := Upsert(path, rec); err != nil {
+			t.Fatalf("record does not serialize: %v", err)
+		}
 	}
 }
 
-// Serial/parallel drift must fail the collection.
+// Drift of any worker count from the serial baseline must fail the
+// collection.
 func TestCollectDetectsDrift(t *testing.T) {
 	calls := 0
-	_, err := Collect(CollectConfig{Name: "drift", Workers: 2},
+	_, err := CollectSweep(CollectConfig{Name: "drift"}, []int{1, 2},
 		func(workers int) (*experiments.Result, error) {
 			calls++
 			return fakeResult(float64(calls)), nil
@@ -95,10 +97,13 @@ func TestCollectDetectsDrift(t *testing.T) {
 }
 
 // Workers must be resolved by the caller; a missing pool size is an
-// error, not a silent serial run.
+// error, not a silently dropped record, and fails before any run.
 func TestCollectRejectsZeroWorkers(t *testing.T) {
-	_, err := Collect(CollectConfig{Name: "w0"},
-		func(workers int) (*experiments.Result, error) { return fakeResult(1), nil })
+	_, err := CollectSweep(CollectConfig{Name: "w0"}, []int{1, 0},
+		func(workers int) (*experiments.Result, error) {
+			t.Fatal("workload ran despite an invalid worker count")
+			return nil, nil
+		})
 	if err == nil {
 		t.Fatal("workers=0 accepted")
 	}

@@ -36,23 +36,13 @@ func (p Point) Wrapped() Point {
 }
 
 // Delta returns the signed minimal displacement from a to b on the unit
-// circle, a value in [-1/2, 1/2).
+// circle. Both coordinates must lie in [0,1), the Point invariant that
+// Pt and Wrapped establish: the raw difference then lies in (-1,1) and
+// the reduction to the nearest representative takes two comparisons.
+// The result lies in [-1/2, 1/2], with a half-way tie mapped to the
+// representative of opposite sign (Delta(0, 0.5) = -0.5,
+// Delta(0.5, 0) = 0.5).
 func Delta(a, b float64) float64 {
-	d := b - a
-	d -= math.Round(d)
-	if d < -0.5 {
-		d = 0.5
-	}
-	return d
-}
-
-// DeltaUnit is Delta specialized to coordinates already in [0,1) — the
-// Point invariant — where the raw difference lies in (-1,1) and the
-// round-to-nearest reduces to two comparisons. It returns exactly
-// Delta's value (including at the half-way ties ±0.5, which round away
-// from zero) without the math.Round call that dominates Delta in
-// brute-force nearest scans.
-func DeltaUnit(a, b float64) float64 {
 	d := b - a
 	if d >= 0.5 {
 		return d - 1
@@ -63,17 +53,8 @@ func DeltaUnit(a, b float64) float64 {
 	return d
 }
 
-// Dist2Unit is Dist2 via DeltaUnit: the squared torus distance for
-// points honoring the [0,1) coordinate invariant, bit-identical to
-// Dist2 on such points.
-func Dist2Unit(a, b Point) float64 {
-	dx := DeltaUnit(a.X, b.X)
-	dy := DeltaUnit(a.Y, b.Y)
-	return dx*dx + dy*dy
-}
-
 // Sub returns the minimal displacement vector from q to p on the torus.
-// Each component lies in [-1/2, 1/2).
+// Each component lies in [-1/2, 1/2], as Delta's does.
 func Sub(p, q Point) (dx, dy float64) {
 	return Delta(q.X, p.X), Delta(q.Y, p.Y)
 }

@@ -172,21 +172,30 @@ func TestPtWraps(t *testing.T) {
 	}
 }
 
-// DeltaUnit promises bit-identity with Delta on coordinates honoring
-// the [0,1) Point invariant — the contract that lets the hot brute-force
-// scans in spatial and sim swap one for the other without perturbing a
-// single report byte.
+// refDelta is the general round-to-nearest torus displacement, valid
+// for any finite coordinates: the reference Delta's two-comparison body
+// must match bit for bit on coordinates honoring the [0,1) Point
+// invariant.
+func refDelta(a, b float64) float64 {
+	d := b - a
+	d -= math.Round(d)
+	if d < -0.5 {
+		d = 0.5
+	}
+	return d
+}
+
 func TestDeltaUnitMatchesDelta(t *testing.T) {
 	check := func(a, b float64) {
-		want := Delta(a, b)
-		got := DeltaUnit(a, b)
+		want := refDelta(a, b)
+		got := Delta(a, b)
 		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("DeltaUnit(%v, %v) = %v (bits %x), Delta = %v (bits %x)",
+			t.Fatalf("Delta(%v, %v) = %v (bits %x), reference = %v (bits %x)",
 				a, b, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	}
-	// Exact half-way ties: Delta rounds ±0.5 away from zero and then
-	// clamps; DeltaUnit must land on the same representative.
+	// Exact half-way ties: the reference rounds ±0.5 away from zero;
+	// Delta must land on the same representative.
 	ties := [][2]float64{
 		{0, 0.5}, {0.5, 0}, {0.25, 0.75}, {0.75, 0.25},
 		{0.1, 0.6}, {0.6, 0.1},
@@ -204,15 +213,16 @@ func TestDeltaUnitMatchesDelta(t *testing.T) {
 	}
 }
 
-// Dist2Unit inherits the same bit-identity promise componentwise.
+// Dist2 inherits the same bit-identity with the reference componentwise.
 func TestDist2UnitMatchesDist2(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 20000; i++ {
 		a := Point{rng.Float64(), rng.Float64()}
 		b := Point{rng.Float64(), rng.Float64()}
-		want, got := Dist2(a, b), Dist2Unit(a, b)
+		dx, dy := refDelta(a.X, b.X), refDelta(a.Y, b.Y)
+		want, got := dx*dx+dy*dy, Dist2(a, b)
 		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("Dist2Unit(%v, %v) = %v, Dist2 = %v", a, b, got, want)
+			t.Fatalf("Dist2(%v, %v) = %v, reference = %v", a, b, got, want)
 		}
 	}
 }

@@ -15,9 +15,9 @@ import (
 func bruteBSCluster(nw *Network) []int {
 	out := make([]int, len(nw.BSPos))
 	for j, y := range nw.BSPos {
-		best, bestD := 0, geom.Dist2Unit(y, nw.Placement.ClusterCenters[0])
+		best, bestD := 0, geom.Dist2(y, nw.Placement.ClusterCenters[0])
 		for c, ctr := range nw.Placement.ClusterCenters {
-			if d := geom.Dist2Unit(y, ctr); d < bestD {
+			if d := geom.Dist2(y, ctr); d < bestD {
 				best, bestD = c, d
 			}
 		}

@@ -140,13 +140,6 @@ func rowColPath(g geom.Grid, c1, r1, c2, r2 int, visit func(from, to int) bool) 
 	visit(cur, cur)
 }
 
-func boolToFloat(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // bottleneckRate returns the largest rate lambda such that edges with
 // capacity/load below lambda carry at most frac of the total load. With
 // frac = 0 this is the strict minimum ratio (the exact sustainable rate

@@ -38,15 +38,24 @@ func (s *Server) buildMux() *http.ServeMux {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 
-	obs.PublishExpvar("hybridcap", s.cfg.Registry)
-	mux.Handle("GET /metrics", s.cfg.Registry.Handler())
+	RegisterDebug(mux, s.cfg.Registry)
+	return mux
+}
+
+// RegisterDebug adds the observability routes to mux: reg in Prometheus
+// text format at /metrics, the expvar tree (with reg published under
+// "hybridcap") at /debug/vars, and net/http/pprof under /debug/pprof/.
+// The daemon mounts them beside its run endpoints; `capsim -debug`
+// serves them alone for a one-shot run.
+func RegisterDebug(mux *http.ServeMux, reg *obs.Registry) {
+	obs.PublishExpvar("hybridcap", reg)
+	mux.Handle("GET /metrics", reg.Handler())
 	mux.Handle("GET /debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
 }
 
 // recoverWrap is the server-level crash isolation: whatever a handler

@@ -460,6 +460,29 @@ func TestHandlerPanicIsolated(t *testing.T) {
 	}
 }
 
+// The debug routes answer both from a bare mux (what `capsim -debug`
+// serves) and from the daemon's own handler.
+func TestDebugRoutes(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.Counter("debug_probe_total").Inc()
+	bare := http.NewServeMux()
+	RegisterDebug(bare, reg)
+	daemon := newTestServer(t, func(c *Config) { c.Registry = reg }).Handler()
+	for name, h := range map[string]http.Handler{"bare": bare, "daemon": daemon} {
+		for path, want := range map[string]string{
+			"/metrics":      "debug_probe_total 1",
+			"/debug/vars":   `"hybridcap"`,
+			"/debug/pprof/": "goroutine",
+		} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+			if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), want) {
+				t.Errorf("%s GET %s = %d, want 200 containing %q", name, path, rec.Code, want)
+			}
+		}
+	}
+}
+
 // Malformed and oversized submissions are rejected at the door.
 func TestSubmitRejectsBadInput(t *testing.T) {
 	s := newTestServer(t, nil)

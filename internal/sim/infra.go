@@ -161,20 +161,12 @@ func RunInfrastructure(nw *network.Network, tr *traffic.Pattern, cfg InfraConfig
 	}
 	injRand := rng.New(cfg.Seed).Derive("inject-infra").Rand()
 
-	// Precompute the serving (home) BS of every MS: the live BS nearest
-	// its home-point, where downlink packets wait.
 	bsIx := spatial.New(livePos, rt)
 	homes := nw.HomePoints()
-	homeBS := make([]int32, n)
-	for i, h := range homes {
-		j, _ := bsIx.Nearest(h, nil)
-		homeBS[i] = int32(liveIDs[j])
-	}
-	// Association-dynamics state: the serving BS per MS, the
-	// time-to-trigger clock, and the alive-at-slot view that applies the
-	// outage mask only from the onset on.
+	// Association-dynamics state: the time-to-trigger clock and the
+	// alive-at-slot view that applies the outage mask only from the
+	// onset on.
 	var (
-		serving []int32
 		tttHeld []int32
 		allIx   *spatial.Index
 	)
@@ -194,11 +186,15 @@ func RunInfrastructure(nw *network.Network, tr *traffic.Pattern, cfg InfraConfig
 	}
 	if dyn {
 		allIx = spatial.New(nw.BSPos, rt)
-		serving = make([]int32, n)
 		tttHeld = make([]int32, n)
-		for i, h := range homes {
-			serving[i] = nearestNow(h, 0)
-		}
+	}
+	// The serving BS of every MS, where its downlink packets wait: the
+	// BS nearest its home-point at slot 0 (a live one, unless an
+	// association outage has yet to begin). Only association dynamics
+	// change it later.
+	serving := make([]int32, n)
+	for i, h := range homes {
+		serving[i] = nearestNow(h, 0)
 	}
 	// bsOrder lazily ranks the live BSs by distance from a destination's
 	// home-point; entry r is the packet's target after r re-homes.
@@ -292,11 +288,7 @@ func RunInfrastructure(nw *network.Network, tr *traffic.Pattern, cfg InfraConfig
 		measuring := slot >= cfg.Warmup
 		for i := 0; i < n; i++ {
 			if injRand.Float64() < cfg.Lambda {
-				target := homeBS[tr.DestOf[i]]
-				if dyn {
-					target = serving[tr.DestOf[i]]
-				}
-				srcQ[i] = append(srcQ[i], infraPacket{dst: int32(tr.DestOf[i]), born: int32(slot), bs: target})
+				srcQ[i] = append(srcQ[i], infraPacket{dst: int32(tr.DestOf[i]), born: int32(slot), bs: serving[tr.DestOf[i]]})
 				if measuring {
 					rep.Injected++
 				}
@@ -379,19 +371,12 @@ func RunInfrastructure(nw *network.Network, tr *traffic.Pattern, cfg InfraConfig
 			msIx.Rebuild(pos)
 		}
 		upSlot, upMeasuring = slot, measuring
-		if dyn {
-			for b := 0; b < nw.NumBS(); b++ {
-				if !liveNow(slot, b) {
-					continue
-				}
-				upBudget = uplinks
-				msIx.ForEachWithin(nw.BSPos[b], rt, absorb)
+		for b := 0; b < nw.NumBS(); b++ {
+			if !liveNow(slot, b) {
+				continue
 			}
-		} else {
-			for _, b := range liveIDs {
-				upBudget = uplinks
-				msIx.ForEachWithin(nw.BSPos[b], rt, absorb)
-			}
+			upBudget = uplinks
+			msIx.ForEachWithin(nw.BSPos[b], rt, absorb)
 		}
 
 		// Downlink: each live BS delivers up to uplinks packets to
@@ -400,62 +385,36 @@ func RunInfrastructure(nw *network.Network, tr *traffic.Pattern, cfg InfraConfig
 		// Survivors are compacted in place, reusing the queue's backing.
 		// Under association dynamics a dead BS cannot transmit; packets
 		// stranded there flush to the destination's current serving BS
-		// over the backbone once the handover has gone through.
-		if dyn {
-			for b := 0; b < nw.NumBS(); b++ {
-				q := downQ[b]
-				if len(q) == 0 {
-					continue
-				}
-				rest := q[:0]
-				if !liveNow(slot, b) {
-					for _, p := range q {
-						if expired(p, slot, measuring) {
-							continue
-						}
-						if tgt := serving[p.dst]; tgt != int32(b) {
-							p.retries++
-							p.bs = tgt
-							if measuring {
-								rep.Transferred++
-							}
-							transitQ[0] = append(transitQ[0], p)
-							continue
-						}
-						rest = append(rest, p)
-					}
-					downQ[b] = rest
-					continue
-				}
-				budget := uplinks
+		// over the backbone once the handover has gone through. Without
+		// association dynamics every packet targets a live BS, so a dead
+		// BS's queue stays empty; with them maxRetries is 0, so the
+		// re-home branch never fires.
+		for b := 0; b < nw.NumBS(); b++ {
+			q := downQ[b]
+			if len(q) == 0 {
+				continue
+			}
+			rest := q[:0]
+			if !liveNow(slot, b) {
 				for _, p := range q {
 					if expired(p, slot, measuring) {
 						continue
 					}
-					if budget > 0 && geom.Dist(pos[p.dst], nw.BSPos[b]) <= rt {
-						if plan != nil && plan.Erased(slot, int(p.dst)) {
-							if measuring {
-								rep.Erasures++
-							}
-							rest = append(rest, p)
-							continue
-						}
-						budget--
+					if tgt := serving[p.dst]; tgt != int32(b) {
+						p.retries++
+						p.bs = tgt
 						if measuring {
-							account(p, slot)
+							rep.Transferred++
 						}
+						transitQ[0] = append(transitQ[0], p)
 						continue
 					}
 					rest = append(rest, p)
 				}
 				downQ[b] = rest
+				continue
 			}
-			continue
-		}
-		for _, b := range liveIDs {
 			budget := uplinks
-			q := downQ[b]
-			rest := q[:0]
 			for _, p := range q {
 				if expired(p, slot, measuring) {
 					continue

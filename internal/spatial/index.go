@@ -91,7 +91,7 @@ func (ix *Index) ForEachWithin(q geom.Point, radius float64, fn func(id int) boo
 		for ic := 0; ic < countC; ic++ {
 			cell := ix.grid.Index(startC+ic, startR+ir)
 			for _, id := range ix.cells[cell] {
-				if geom.Dist2Unit(q, ix.pts[id]) <= r2 {
+				if geom.Dist2(q, ix.pts[id]) <= r2 {
 					if !fn(int(id)) {
 						return
 					}
@@ -138,7 +138,7 @@ func (ix *Index) Nearest(q geom.Point, skip func(id int) bool) (id int, dist flo
 			if skip != nil && skip(cand) {
 				return true
 			}
-			if d := geom.Dist2Unit(q, ix.pts[cand]); d < best || (d == best && cand < id) {
+			if d := geom.Dist2(q, ix.pts[cand]); d < best || (d == best && cand < id) {
 				best = d
 				id = cand
 			}
